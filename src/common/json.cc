@@ -598,7 +598,7 @@ struct JsonParser
 bool
 jsonParse(const std::string& text, JsonValue* out, std::string* err)
 {
-    JsonParser parser{text};
+    JsonParser parser{text, 0, {}};
     JsonValue v;
     if (!parser.value(&v, 0)) {
         if (err)

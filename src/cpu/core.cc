@@ -10,6 +10,17 @@ O3Core::O3Core(int id, const CoreConfig& config, TraceSource& trace,
 {
     QP_ASSERT(cfg_.width >= 1 && cfg_.window >= cfg_.width,
               "invalid core configuration");
+    std::size_t ring = 1;
+    while (ring < static_cast<std::size_t>(cfg_.window))
+        ring <<= 1;
+    done_.assign(ring, 0);
+    ring_mask_ = ring - 1;
+    llc_.attach(id_, this);
+}
+
+O3Core::~O3Core()
+{
+    llc_.detach(id_);
 }
 
 void
@@ -30,67 +41,56 @@ O3Core::setBatchSink(std::vector<SharedLlc::CoreRequest>* batch)
 }
 
 void
-O3Core::postCompletion(Cycle due, std::function<void()> fn)
+O3Core::postCompletion(Cycle due, std::uint64_t seq)
 {
-    inbox_staged_.emplace_back(due, std::move(fn));
+    inbox_staged_.push_back({due, seq});
 }
 
 void
 O3Core::runWindow(Cycle begin, Cycle end)
 {
-    for (auto& [due, fn] : inbox_staged_)
-        inbox_.push({due, inbox_seq_++, std::move(fn)});
+    for (const Pending& p : inbox_staged_)
+        inbox_.push(p);
     inbox_staged_.clear();
     for (Cycle u = begin; u < end; ++u) {
         while (!inbox_.empty() && inbox_.top().due <= u) {
-            auto fn = inbox_.top().fn;
+            loadDone(inbox_.top().seq);
             inbox_.pop();
-            if (fn)
-                fn();
         }
         tick(u);
     }
 }
 
+void
+O3Core::loadDone(std::uint64_t seq)
+{
+    QP_ASSERT(seq - head_ < tail_ - head_,
+              "load completion outside the core's window");
+    done_[seq & ring_mask_] = 1;
+}
+
 bool
 O3Core::dispatchMem(Cycle master_cycle)
 {
+    const std::uint64_t seq = tail_;
+    const bool is_store = current_.is_store;
+    // Stores are posted: they occupy an already completed slot. Loads
+    // block retirement until the hierarchy hands their token back.
+    done_[seq & ring_mask_] = is_store ? 1 : 0;
     if (batch_) {
         // Batched mode: record the request; the serial phase replays
         // it. No back-pressure — a full MSHR file parks the request
         // LLC-side instead of stalling dispatch.
-        if (current_.is_store) {
-            batch_->push_back({master_cycle, current_.addr, true, id_, {}});
-            window_.push_back({true, false});
-            ++stores_issued_;
-            return true;
-        }
-        window_.push_back({false, true});
-        Slot* slot = &window_.back();
-        batch_->push_back({master_cycle, current_.addr, false, id_,
-                           [slot] { slot->completed = true; }});
-        ++loads_issued_;
-        return true;
-    }
-    if (current_.is_store) {
-        // Stores are posted: occupy a completed window slot.
-        if (!llc_.access(current_.addr, true, id_, {}, master_cycle))
-            return false;
-        window_.push_back({true, false});
-        ++stores_issued_;
-        return true;
-    }
-    // Loads block retirement until the hierarchy responds.
-    window_.push_back({false, true});
-    Slot* slot = &window_.back(); // deque refs survive push/pop at ends
-    bool ok = llc_.access(
-        current_.addr, false, id_, [slot] { slot->completed = true; },
-        master_cycle);
-    if (!ok) {
-        window_.pop_back();
+        batch_->push_back({master_cycle, current_.addr, is_store, id_, seq});
+    } else if (!llc_.access(current_.addr, is_store, id_, seq,
+                            master_cycle)) {
         return false;
     }
-    ++loads_issued_;
+    ++tail_;
+    if (is_store)
+        ++stores_issued_;
+    else
+        ++loads_issued_;
     return true;
 }
 
@@ -100,10 +100,10 @@ O3Core::cpuCycle(Cycle master_cycle)
     ++cpu_cycles_;
 
     // Retire.
-    for (int i = 0; i < cfg_.width && !window_.empty(); ++i) {
-        if (!window_.front().completed)
+    for (int i = 0; i < cfg_.width && head_ != tail_; ++i) {
+        if (!done_[head_ & ring_mask_])
             break;
-        window_.pop_front();
+        ++head_;
         ++retired_;
         if (!finished_ && retired_ >= cfg_.target_insts) {
             finished_ = true;
@@ -115,8 +115,8 @@ O3Core::cpuCycle(Cycle master_cycle)
     // Dispatch.
     int dispatched = 0;
     bool stalled = false;
-    while (dispatched < cfg_.width &&
-           static_cast<int>(window_.size()) < cfg_.window && !stalled) {
+    const auto window = static_cast<std::uint64_t>(cfg_.window);
+    while (dispatched < cfg_.width && tail_ - head_ < window && !stalled) {
         if (!entry_valid_) {
             if (trace_exhausted_ || !trace_.next(current_)) {
                 trace_exhausted_ = true;
@@ -126,7 +126,7 @@ O3Core::cpuCycle(Cycle master_cycle)
             bubbles_left_ = current_.bubbles;
         }
         if (bubbles_left_ > 0) {
-            window_.push_back({true, false});
+            done_[tail_++ & ring_mask_] = 1;
             --bubbles_left_;
             ++dispatched;
             continue;
@@ -142,7 +142,7 @@ O3Core::cpuCycle(Cycle master_cycle)
             entry_valid_ = false;
         }
     }
-    if (dispatched == 0 && !window_.empty())
+    if (dispatched == 0 && head_ != tail_)
         ++stall_cycles_;
 }
 

@@ -8,11 +8,9 @@
 #ifndef QPRAC_CPU_CORE_H
 #define QPRAC_CPU_CORE_H
 
-#include <deque>
-#include <memory>
+#include <cstdint>
 #include <queue>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/stats.h"
@@ -31,12 +29,24 @@ struct CoreConfig
     std::uint64_t target_insts = 1'000'000;
 };
 
-/** One out-of-order core fed by a trace. */
-class O3Core
+/**
+ * One out-of-order core fed by a trace.
+ *
+ * The window is a power-of-two ring of completion flags indexed by a
+ * per-core dispatch sequence number; a load's sequence number is the
+ * token the LLC hands back when its data arrives (LoadSink), so no
+ * per-load callback exists. The core attaches itself to the LLC on
+ * construction and detaches on destruction, so the LLC must outlive it.
+ */
+class O3Core final : private LoadSink
 {
   public:
     O3Core(int id, const CoreConfig& config, TraceSource& trace,
            SharedLlc& llc);
+    ~O3Core();
+
+    O3Core(const O3Core&) = delete;
+    O3Core& operator=(const O3Core&) = delete;
 
     /**
      * Advance by one master (DRAM) cycle; internally runs the
@@ -61,13 +71,13 @@ class O3Core
     void setBatchSink(std::vector<SharedLlc::CoreRequest>* batch);
 
     /**
-     * Serial phase: stage a load completion for this core. Fired at
+     * Serial phase: stage the completion of load @p seq. Fired at
      * @p due inside the core's next parallel window (a min-heap orders
-     * entries by due cycle; stage order breaks ties, and tied entries
-     * are observationally interchangeable — each just completes one
+     * entries by due cycle, then sequence number; tied entries are
+     * observationally interchangeable — each just completes one
      * window slot).
      */
-    void postCompletion(Cycle due, std::function<void()> fn);
+    void postCompletion(Cycle due, std::uint64_t seq);
 
     /**
      * Parallel phase: run master cycles [begin, end), firing staged
@@ -86,12 +96,7 @@ class O3Core
     void exportStats(StatSet& out, const std::string& prefix) const;
 
   private:
-    struct Slot
-    {
-        bool completed = true;
-        bool is_load = false;
-    };
-
+    void loadDone(std::uint64_t seq) override;
     void cpuCycle(Cycle master_cycle);
     bool dispatchMem(Cycle master_cycle);
 
@@ -100,11 +105,14 @@ class O3Core
     TraceSource& trace_;
     SharedLlc& llc_;
 
-    std::deque<Slot> window_;
+    /** Completion flag per in-flight instruction, at seq & ring_mask_. */
+    std::vector<std::uint8_t> done_;
+    std::uint64_t ring_mask_ = 0;
+    std::uint64_t head_ = 0; ///< sequence number of the oldest in flight
+    std::uint64_t tail_ = 0; ///< sequence number of the next dispatch
     TraceEntry current_{};
     bool entry_valid_ = false;
     std::uint32_t bubbles_left_ = 0;
-    bool mem_pending_dispatch_ = false;
 
     std::uint64_t retired_ = 0;
     std::uint64_t cpu_cycles_ = 0;
@@ -117,21 +125,19 @@ class O3Core
     // and moved into the core-local heap at window start, so the two
     // sides are never touched concurrently.
     std::vector<SharedLlc::CoreRequest>* batch_ = nullptr;
-    std::vector<std::pair<Cycle, std::function<void()>>> inbox_staged_;
     struct Pending
     {
         Cycle due;
-        std::uint64_t seq; ///< stage order; deterministic tie-break
-        std::function<void()> fn;
+        std::uint64_t seq; ///< the load's token
         bool operator>(const Pending& o) const
         {
             return due != o.due ? due > o.due : seq > o.seq;
         }
     };
+    std::vector<Pending> inbox_staged_;
     std::priority_queue<Pending, std::vector<Pending>,
                         std::greater<Pending>>
         inbox_;
-    std::uint64_t inbox_seq_ = 0;
     Cycle finish_master_cycle_ = 0;
     Cycle tick_master_cycle_ = 0; ///< cycle of the tick in progress
 

@@ -117,9 +117,35 @@ SharedLlc::findMshr(Addr line_addr) const
     return -1;
 }
 
+void
+SharedLlc::attach(int core, LoadSink* sink)
+{
+    QP_ASSERT(core >= 0 && sink, "attach needs a core id and a sink");
+    const auto i = static_cast<std::size_t>(core);
+    if (i >= sinks_.size())
+        sinks_.resize(i + 1, nullptr);
+    QP_ASSERT(!sinks_[i], "core id ", core, " is already attached");
+    sinks_[i] = sink;
+}
+
+void
+SharedLlc::detach(int core)
+{
+    sinks_[static_cast<std::size_t>(core)] = nullptr;
+}
+
+void
+SharedLlc::complete(LoadToken load)
+{
+    const auto i = static_cast<std::size_t>(load.core);
+    QP_ASSERT(i < sinks_.size() && sinks_[i],
+              "load completion for unattached core ", load.core);
+    sinks_[i]->loadDone(load.seq);
+}
+
 bool
-SharedLlc::access(Addr addr, bool is_store, int source,
-                  std::function<void()> done, Cycle now)
+SharedLlc::access(Addr addr, bool is_store, int source, std::uint64_t seq,
+                  Cycle now)
 {
     Addr line = lineAddr(addr);
     Line* hit = findLine(line);
@@ -149,8 +175,10 @@ SharedLlc::access(Addr addr, bool is_store, int source,
     if (hit) {
         ++stats_.load_hits;
         hit->lru = ++lru_clock_;
-        hit_events_.push(
-            {now + static_cast<Cycle>(cfg_.hit_latency), std::move(done)});
+        const Cycle due = now + static_cast<Cycle>(cfg_.hit_latency);
+        QP_ASSERT(hit_events_.empty() || hit_events_.back().at <= due,
+                  "LLC accesses must arrive in nondecreasing cycle order");
+        hit_events_.push_back({due, {source, seq}});
         return true;
     }
 
@@ -158,20 +186,18 @@ SharedLlc::access(Addr addr, bool is_store, int source,
     if (m >= 0) {
         ++stats_.load_misses;
         ++stats_.mshr_merges;
-        mshrs_[static_cast<std::size_t>(m)].waiters.emplace_back(
-            source, std::move(done));
+        mshrs_[static_cast<std::size_t>(m)].waiters.push_back({source, seq});
         return true;
     }
     if (mshrs_in_use_ >= cfg_.mshrs)
         return false;
     ++stats_.load_misses;
-    allocateMshrAndFetch(line, source, std::move(done), now);
+    allocateMshrAndFetch(line, {source, seq}, now);
     return true;
 }
 
 void
-SharedLlc::allocateMshrAndFetch(Addr line, int core,
-                                std::function<void()> done, Cycle now)
+SharedLlc::allocateMshrAndFetch(Addr line, LoadToken load, Cycle now)
 {
     // Allocate an MSHR and mail the fill request; controller read-queue
     // admission happens shard-side at ingest.
@@ -187,12 +213,12 @@ SharedLlc::allocateMshrAndFetch(Addr line, int core,
     mshr.line_addr = line;
     mshr.make_dirty = false;
     mshr.waiters.clear();
-    mshr.waiters.emplace_back(core, std::move(done));
+    mshr.waiters.push_back(load);
     ++mshrs_in_use_;
 
     Addr full = line * static_cast<Addr>(cfg_.line_bytes);
     dram::DecodedAddr dec = mapper_.decode(full);
-    memory_.submitRead(full, dec, core,
+    memory_.submitRead(full, dec, load.core,
                        [this, line](Cycle at) { onFill(line, at); }, now);
 }
 
@@ -203,13 +229,11 @@ SharedLlc::onFill(Addr line_addr, Cycle now)
     QP_ASSERT(m >= 0, "fill without a matching MSHR");
     Mshr& mshr = mshrs_[static_cast<std::size_t>(m)];
     installLine(line_addr, mshr.make_dirty, now);
-    for (auto& [core, fn] : mshr.waiters) {
-        if (!fn)
-            continue;
+    for (const LoadToken& load : mshr.waiters) {
         if (router_)
-            router_(core, now, std::move(fn));
+            router_(load.core, now, load.seq);
         else
-            fn();
+            complete(load);
     }
     mshr.valid = false;
     mshr.waiters.clear();
@@ -235,11 +259,9 @@ SharedLlc::drainWritebacks(Cycle now)
 void
 SharedLlc::tick(Cycle now)
 {
-    while (!hit_events_.empty() && hit_events_.top().at <= now) {
-        auto fn = hit_events_.top().fn;
-        hit_events_.pop();
-        if (fn)
-            fn();
+    while (!hit_events_.empty() && hit_events_.front().at <= now) {
+        complete(hit_events_.front().load);
+        hit_events_.pop_front();
     }
     drainWritebacks(now);
 }
@@ -254,7 +276,7 @@ void
 SharedLlc::admitRetries(Cycle now)
 {
     while (!retry_queue_.empty() && mshrs_in_use_ < cfg_.mshrs) {
-        CoreRequest req = std::move(retry_queue_.front());
+        CoreRequest req = retry_queue_.front();
         retry_queue_.pop_front();
         // The line may have been installed (or its fill allocated) by
         // a later request while this one was parked; re-dispatch
@@ -290,27 +312,26 @@ SharedLlc::replayOne(CoreRequest& req, int core, Cycle now)
     if (hit) {
         ++stats_.load_hits;
         hit->lru = ++lru_clock_;
-        router_(core, now + static_cast<Cycle>(cfg_.hit_latency),
-                std::move(req.done));
+        router_(core, now + static_cast<Cycle>(cfg_.hit_latency), req.seq);
         return;
     }
     int m = findMshr(line);
     if (m >= 0) {
         ++stats_.load_misses;
         ++stats_.mshr_merges;
-        mshrs_[static_cast<std::size_t>(m)].waiters.emplace_back(
-            core, std::move(req.done));
+        mshrs_[static_cast<std::size_t>(m)].waiters.push_back(
+            {core, req.seq});
         return;
     }
     if (mshrs_in_use_ >= cfg_.mshrs) {
         // Park instead of stalling the (already-advanced) core; the
         // documented divergence point of batched mode.
         req.at = now;
-        retry_queue_.push_back(std::move(req));
+        retry_queue_.push_back(req);
         return;
     }
     ++stats_.load_misses;
-    allocateMshrAndFetch(line, core, std::move(req.done), now);
+    allocateMshrAndFetch(line, {core, req.seq}, now);
 }
 
 void

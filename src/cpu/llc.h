@@ -10,9 +10,9 @@
 #ifndef QPRAC_CPU_LLC_H
 #define QPRAC_CPU_LLC_H
 
+#include <cstdint>
 #include <deque>
 #include <functional>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -49,6 +49,22 @@ struct LlcStats
 };
 
 /**
+ * Receives one core's load completions. A load is named by the token
+ * its core passed to SharedLlc::access (the core's dispatch sequence
+ * number), so completing it builds no callback. O3Core implements it;
+ * tests substitute a recorder.
+ */
+class LoadSink
+{
+  public:
+    /** The load issued with token @p seq has its data. */
+    virtual void loadDone(std::uint64_t seq) = 0;
+
+  protected:
+    ~LoadSink() = default;
+};
+
+/**
  * Set-associative shared LLC bound to the sharded memory system.
  * Misses and writebacks are mailed to the decoded channel's shard
  * through the epoch engine's SPSC mailboxes (ctrl/memory_system.h);
@@ -57,6 +73,12 @@ struct LlcStats
  * one saturated channel does not stall fills or writebacks bound for
  * the others; the LLC's own admission control is its MSHR file, which
  * bounds outstanding fills below any read-queue capacity in use.
+ *
+ * Load hits complete a constant hit_latency after issue. Accesses
+ * arrive in nondecreasing cycle order, so hit completions come due in
+ * the order they were queued and wait in a FIFO; access() asserts that
+ * order. Hits due in the same cycle each complete a different window
+ * slot before any core ticks, so their relative order is unobservable.
  */
 class SharedLlc
 {
@@ -65,14 +87,26 @@ class SharedLlc
               const dram::AddressMapper& mapper);
 
     /**
+     * Route core @p core's load completions to @p sink until detach().
+     * O3Core's constructor calls it; one sink per core id.
+     */
+    void attach(int core, LoadSink* sink);
+
+    /** Stop routing core @p core's completions (O3Core's destructor). */
+    void detach(int core);
+
+    /**
      * Access the cache with a line-aligned address.
      *
-     * @param done completion callback (loads only; stores are posted)
+     * @param source issuing core; its attached sink gets the completion
+     * @param seq    the load's token, handed back to the sink (loads
+     *               only; stores are posted)
+     * @param now    must not precede an earlier access's cycle
      * @return false when the access cannot be accepted this cycle
      *         (MSHRs exhausted or the MC write path is saturated)
      */
-    bool access(Addr addr, bool is_store, int source,
-                std::function<void()> done, Cycle now);
+    bool access(Addr addr, bool is_store, int source, std::uint64_t seq,
+                Cycle now);
 
     /** Advance; delivers hit completions and drains pending writebacks. */
     void tick(Cycle now);
@@ -85,16 +119,16 @@ class SharedLlc
         Addr addr = 0;
         bool is_store = false;
         int source = 0;
-        std::function<void()> done; ///< loads only
+        std::uint64_t seq = 0; ///< the load's token (loads only)
     };
 
     /**
      * Where load completions go in batched mode: (core, due cycle,
-     * callback). The System routes them into per-core inboxes; each
-     * core fires them at the due cycle inside its own parallel window.
+     * token). The System routes them into per-core inboxes; each core
+     * fires them at the due cycle inside its own parallel window.
      */
     using CompletionRouter =
-        std::function<void(int core, Cycle due, std::function<void()> fn)>;
+        std::function<void(int core, Cycle due, std::uint64_t seq)>;
 
     /**
      * Enter batched-replay mode. Cores then record their requests into
@@ -146,14 +180,19 @@ class SharedLlc
         std::uint64_t lru = 0;
     };
 
+    /** One outstanding load: its core and that core's token. */
+    struct LoadToken
+    {
+        int core;
+        std::uint64_t seq;
+    };
+
     struct Mshr
     {
         Addr line_addr = 0;
         bool valid = false;
         bool make_dirty = false;
-        /** (source core, callback); the core id routes batched-mode
-         * completions, plain mode fires the callback directly. */
-        std::vector<std::pair<int, std::function<void()>>> waiters;
+        std::vector<LoadToken> waiters;
     };
 
     Addr lineAddr(Addr addr) const;
@@ -165,10 +204,10 @@ class SharedLlc
     void onFill(Addr line_addr, Cycle now);
     void pushWriteback(Addr line_addr);
     void drainWritebacks(Cycle now);
+    void complete(LoadToken load);
     void replayOne(CoreRequest& req, int core, Cycle now);
     void admitRetries(Cycle now);
-    void allocateMshrAndFetch(Addr line, int core,
-                              std::function<void()> done, Cycle now);
+    void allocateMshrAndFetch(Addr line, LoadToken load, Cycle now);
 
     LlcConfig cfg_;
     ctrl::MemorySystem& memory_;
@@ -179,15 +218,16 @@ class SharedLlc
     int mshrs_in_use_ = 0;
     std::uint64_t lru_clock_ = 0;
 
+    /** Per core id: where its completions go (null = detached). */
+    std::vector<LoadSink*> sinks_;
+
     struct HitEvent
     {
         Cycle at;
-        std::function<void()> fn;
-        bool operator>(const HitEvent& o) const { return at > o.at; }
+        LoadToken load;
     };
-    std::priority_queue<HitEvent, std::vector<HitEvent>,
-                        std::greater<HitEvent>>
-        hit_events_;
+    /** Plain mode's pending hit completions, due in queue order. */
+    std::deque<HitEvent> hit_events_;
     /**
      * Per-channel writeback overflow (no cross-channel head-of-line):
      * entries wait here until the channel's write mailbox accepts

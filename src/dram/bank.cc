@@ -90,7 +90,6 @@ Bank::doWrite(Cycle now)
 void
 Bank::stallRowCycle(Cycle extra)
 {
-    QP_ASSERT(extra >= 0, "stall must be non-negative");
     next_pre_ += extra;
     next_act_ += extra;
 }

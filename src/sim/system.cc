@@ -276,9 +276,9 @@ System::runCorePar()
     // the serial model's within-cycle order), so results are identical
     // at every thread count.
     llc_->setCompletionRouter(
-        [this](int core, Cycle due, std::function<void()> fn) {
-            cores_[static_cast<std::size_t>(core)]->postCompletion(
-                due, std::move(fn));
+        [this](int core, Cycle due, std::uint64_t seq) {
+            cores_[static_cast<std::size_t>(core)]->postCompletion(due,
+                                                                   seq);
         });
     batches_.assign(cores_.size(), {});
     for (std::size_t i = 0; i < cores_.size(); ++i)

@@ -298,3 +298,36 @@ TEST(Core, StatsExported)
     EXPECT_EQ(s.get("core.stores"), 1.0);
     EXPECT_GT(s.get("core.ipc"), 0.0);
 }
+
+TEST(Core, NonPowerOfTwoWindowWrapsItsRingExactly)
+{
+    // window=6 rounds the completion ring up to 8 slots; 60k retired
+    // instructions wrap it ~7.5k times with loads completing out of
+    // order (hits overtaking misses). Values recorded with the
+    // deque-of-slots window this ring replaced.
+    Machine m;
+    SyntheticStreamParams p;
+    p.mem_per_kilo = 250;
+    p.hit_frac = 0.6;
+    p.hot_lines = 512;
+    p.seq_frac = 0.5;
+    p.footprint_lines = 1 << 16;
+    p.seed = 11;
+    SyntheticTraceSource trace(p);
+    CoreConfig cfg;
+    cfg.window = 6;
+    cfg.width = 2;
+    cfg.target_insts = 60'000;
+    O3Core core(0, cfg, trace, m.llc);
+    m.run(core, 2'000'000);
+    ASSERT_TRUE(core.done());
+    EXPECT_GT(m.llc.stats().load_hits, 1000u);
+    EXPECT_GT(m.llc.stats().load_misses, 1000u);
+    StatSet s;
+    core.exportStats(s, "core.");
+    EXPECT_EQ(s.get("core.retired"), 60'001.0);
+    EXPECT_EQ(s.get("core.cpu_cycles"), 960'792.0);
+    EXPECT_EQ(s.get("core.stall_cycles"), 928'700.0);
+    EXPECT_EQ(s.get("core.loads"), 10'554.0);
+    EXPECT_EQ(s.get("core.stores"), 4'492.0);
+}

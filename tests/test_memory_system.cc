@@ -12,6 +12,7 @@
 #include "ctrl/memory_system.h"
 #include "mitigations/factory.h"
 #include "sim/experiment.h"
+#include "sim/scenario_hash.h"
 #include "sim/system.h"
 #include "sim/workloads.h"
 
@@ -169,6 +170,28 @@ TEST(SingleChannelDeterminism, AlertActiveWorkloadMatchesPreShardGolden)
 }
 
 // --- Multi-channel behaviour ------------------------------------------
+
+TEST(MemorySystem, HitDominatedWorkloadMatchesGolden)
+{
+    // 444.namd is almost all LLC hits (18779 hits, 17 misses here), so
+    // many hits of different cores come due in the same cycle. The
+    // digest was captured when hit completions were closures in a
+    // binary heap; the FIFO of tokens must reproduce it, i.e. the
+    // order of tied hits must stay unobservable.
+    sim::ExperimentConfig cfg;
+    cfg.insts_per_core = 20'000;
+    cfg.num_cores = 4;
+    cfg.threads = 1;
+    cfg.channels = 2;
+    cfg.llc_mb = 2;
+    cfg.seed = 0;
+    sim::DesignSpec d =
+        sim::DesignSpec::qprac(core::QpracConfig::base(32, 1));
+    sim::SimResult r = sim::runOne(sim::findWorkload("444.namd"), d, cfg);
+    EXPECT_EQ(r.cycles, 4656u);
+    EXPECT_EQ(r.stats.get("llc.load_hits"), 18779.0);
+    EXPECT_EQ(sim::fnv1a64(r.toJson()), 0xff097e1b761074d9ull);
+}
 
 namespace {
 
