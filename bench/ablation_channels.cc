@@ -2,8 +2,8 @@
  * @file
  * Ablation — channel scaling: weighted speedup and alerts/tREFI for
  * QPRAC vs MOAT over 1/2/4 independent DRAM channels, plus the engine
- * scaling matrix: v1 (alternating) vs v2 (pipelined + work-stealing,
- * optionally threaded cores) over channels x skip x threads, emitted
+ * scaling matrix: v1 (alternating) vs v2 (pipelined) over
+ * channels x skip x threads, emitted
  * to BENCH_engine.json together with a dense-vs-next-event skip
  * efficiency measurement on an idle-heavy workload.
  *
@@ -41,7 +41,7 @@ main(int argc, char** argv)
 
     // --cache-dir / QPRAC_CACHE_DIR: caches the baseline and main
     // sweeps only. The engine-scaling matrix below must never be
-    // cached: its rows differ only in threads/pipeline/steal/skip,
+    // cached: its rows differ only in threads/pipeline/skip,
     // which are result-neutral and so excluded from the scenario hash —
     // all rows share one hash, and the point of the matrix is wall
     // clock, which a cache hit falsifies.
@@ -123,10 +123,9 @@ main(int argc, char** argv)
     t.print();
 
     // --- Engine scaling: v1 vs v2, channels x skip x threads -----------
-    // One row per (channels, engine, skip, threads). v1 is the PR 4
-    // alternating engine (pipeline=off, steal=off); v2 is the pipelined
-    // + work-stealing engine; v2+corepar additionally threads the
-    // cores; skip toggles the PR 9 next-event cycle skipping in the
+    // One row per (channels, engine, skip, threads). v1 is the
+    // alternating engine (pipeline=off); v2 is the pipelined engine
+    // (pipeline=on); skip toggles the next-event cycle skipping in the
     // shard loops. Every row is asserted bit-identical to the v1 dense
     // serial reference (skipping is a pure engine optimization, like
     // threading), so the only thing that moves between rows is the
@@ -138,13 +137,10 @@ main(int argc, char** argv)
     {
         const char* label;
         const char* pipeline;
-        const char* steal;
-        const char* corepar;
     };
     const std::vector<Engine> engines = {
-        {"v1", "off", "off", "off"},
-        {"v2", "on", "on", "off"},
-        {"v2+corepar", "on", "on", "on"},
+        {"v1", "off"},
+        {"v2", "on"},
     };
 
     bench::ResultSink scale_csv(
@@ -180,10 +176,7 @@ main(int argc, char** argv)
         std::string json_v1; // v1 dense serial identity reference
         std::map<std::string, std::string> json_t1; // per-engine t1 ref
         for (const auto& eng : engines) {
-            ok = scaling.set("pipeline", eng.pipeline, &set_err) &&
-                 scaling.set("steal", eng.steal, &set_err) &&
-                 scaling.set("corepar", eng.corepar, &set_err);
-            if (!ok)
+            if (!scaling.set("pipeline", eng.pipeline, &set_err))
                 fatal(strCat("bad engine override: ", set_err));
             for (const char* skip : {"off", "on"}) {
                 if (!scaling.set("skip", skip, &set_err))
@@ -374,7 +367,7 @@ main(int argc, char** argv)
         "activations, so per-bank PRAC counts grow more slowly and both "
         "designs alert less; QPRAC's slowdown stays near zero at every "
         "channel count. The engine matrix shows v2's pipelined overlap "
-        "and work stealing plus the next-event cycle skipping: identical "
+        "plus the next-event cycle skipping: identical "
         "simulation output to v1 dense ticking at every row, wall clock "
         "bounded by the physical core count (%d here), full numbers in "
         "%s.\n",

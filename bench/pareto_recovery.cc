@@ -1,12 +1,14 @@
 /**
  * @file
  * The recovery Pareto frontier: timing-channel leakage vs delivered
- * IPC over the (recovery x nbo x nmit x channels x backend) grid —
- * 48 configurations, each simulated twice (once under the workload for
+ * IPC over the (recovery x nbo x nmit x channels) grid — 24
+ * configurations, each simulated twice (once under the workload for
  * IPC, once under attack:rfm-probe for the leakage signal), joined on
  * the grid key and charted as a frontier: a point is Pareto-optimal
  * when no other point both performs at least as well and leaks at most
- * as much.
+ * as much. There is no service-queue backend axis: the linear and heap
+ * backends are decision-equivalent by construction (tests/test_psq.cc
+ * pins it), so the base scenario's backend stands for both.
  *
  * The grid is also the experiment service's showcase: the whole thing
  * runs cold through the content-addressed result cache, then again
@@ -40,7 +42,6 @@ const std::vector<std::string> kAxes = {
     "nbo=4,8",
     "nmit=1,2",
     "channels=1,2",
-    "backend=linear,heap",
 };
 
 /** The grid key a perf point and its leakage twin share. */
@@ -48,8 +49,7 @@ std::string
 gridKey(const SweepPointResult& p)
 {
     std::string key;
-    for (const char* axis :
-         {"recovery", "nbo", "nmit", "channels", "backend"})
+    for (const char* axis : {"recovery", "nbo", "nmit", "channels"})
         key += overrideValue(p, axis) + "|";
     return key;
 }
@@ -69,8 +69,8 @@ main(int argc, char** argv)
 {
     bench::banner("Pareto",
                   "recovery frontier: leakage vs IPC over recovery x "
-                  "nbo x nmit x channels x backend, cold vs warm "
-                  "through the result cache");
+                  "nbo x nmit x channels, cold vs warm through the "
+                  "result cache");
 
     // The cache is the point of this bench, so unlike the other
     // figures it is always on: --cache-dir / QPRAC_CACHE_DIR, default
@@ -184,17 +184,16 @@ main(int argc, char** argv)
 
     bench::ResultSink csv("pareto_recovery",
                           {"recovery", "nbo", "nmit", "channels",
-                           "backend", "ipc_sum", "leakage_signal",
-                           "alerts_per_trefi", "pareto"});
-    Table t({"recovery", "nbo", "nmit", "channels", "backend",
-             "IPC (sum)", "leakage (cyc)", "frontier"});
+                           "ipc_sum", "leakage_signal", "alerts_per_trefi",
+                           "pareto"});
+    Table t({"recovery", "nbo", "nmit", "channels", "IPC (sum)",
+             "leakage (cyc)", "frontier"});
     std::size_t frontier_points = 0;
     for (const auto& r : rows) {
         const auto& p = *r.perf;
         csv.addRow({overrideValue(p, "recovery"),
                     overrideValue(p, "nbo"), overrideValue(p, "nmit"),
-                    overrideValue(p, "channels"),
-                    overrideValue(p, "backend"), Table::num(r.ipc, 4),
+                    overrideValue(p, "channels"), Table::num(r.ipc, 4),
                     Table::num(r.leakage, 2),
                     Table::num(p.result.sim.alerts_per_trefi, 4),
                     r.pareto ? "1" : "0"});
@@ -203,8 +202,7 @@ main(int argc, char** argv)
         ++frontier_points;
         t.addRow({overrideValue(p, "recovery"), overrideValue(p, "nbo"),
                   overrideValue(p, "nmit"),
-                  overrideValue(p, "channels"),
-                  overrideValue(p, "backend"), Table::num(r.ipc, 4),
+                  overrideValue(p, "channels"), Table::num(r.ipc, 4),
                   Table::num(r.leakage, 2), "*"});
     }
     t.print();
@@ -230,8 +228,7 @@ main(int argc, char** argv)
     for (const auto& r : rows) {
         const auto& p = *r.perf;
         w.beginObject();
-        for (const char* axis :
-             {"recovery", "nbo", "nmit", "channels", "backend"})
+        for (const char* axis : {"recovery", "nbo", "nmit", "channels"})
             w.key(axis).value(overrideValue(p, axis));
         w.key("hash").value(p.hash);
         w.key("ipc_sum").value(r.ipc);

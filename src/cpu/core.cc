@@ -26,38 +26,10 @@ O3Core::~O3Core()
 void
 O3Core::tick(Cycle master_cycle)
 {
-    tick_master_cycle_ = master_cycle;
     cpu_budget_ += cfg_.cpu_per_dram_clk;
     while (cpu_budget_ >= 1.0) {
         cpu_budget_ -= 1.0;
         cpuCycle(master_cycle);
-    }
-}
-
-void
-O3Core::setBatchSink(std::vector<SharedLlc::CoreRequest>* batch)
-{
-    batch_ = batch;
-}
-
-void
-O3Core::postCompletion(Cycle due, std::uint64_t seq)
-{
-    inbox_staged_.push_back({due, seq});
-}
-
-void
-O3Core::runWindow(Cycle begin, Cycle end)
-{
-    for (const Pending& p : inbox_staged_)
-        inbox_.push(p);
-    inbox_staged_.clear();
-    for (Cycle u = begin; u < end; ++u) {
-        while (!inbox_.empty() && inbox_.top().due <= u) {
-            loadDone(inbox_.top().seq);
-            inbox_.pop();
-        }
-        tick(u);
     }
 }
 
@@ -77,15 +49,8 @@ O3Core::dispatchMem(Cycle master_cycle)
     // Stores are posted: they occupy an already completed slot. Loads
     // block retirement until the hierarchy hands their token back.
     done_[seq & ring_mask_] = is_store ? 1 : 0;
-    if (batch_) {
-        // Batched mode: record the request; the serial phase replays
-        // it. No back-pressure — a full MSHR file parks the request
-        // LLC-side instead of stalling dispatch.
-        batch_->push_back({master_cycle, current_.addr, is_store, id_, seq});
-    } else if (!llc_.access(current_.addr, is_store, id_, seq,
-                            master_cycle)) {
+    if (!llc_.access(current_.addr, is_store, id_, seq, master_cycle))
         return false;
-    }
     ++tail_;
     if (is_store)
         ++stores_issued_;
@@ -108,7 +73,6 @@ O3Core::cpuCycle(Cycle master_cycle)
         if (!finished_ && retired_ >= cfg_.target_insts) {
             finished_ = true;
             finish_cycles_ = cpu_cycles_;
-            finish_master_cycle_ = tick_master_cycle_;
         }
     }
 

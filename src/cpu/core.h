@@ -9,7 +9,6 @@
 #define QPRAC_CPU_CORE_H
 
 #include <cstdint>
-#include <queue>
 #include <string>
 #include <vector>
 
@@ -60,36 +59,6 @@ class O3Core final : private LoadSink
     std::uint64_t retired() const { return retired_; }
     std::uint64_t cpuCycles() const { return cpu_cycles_; }
 
-    // --- Batched mode (engine v2 threaded cores) -------------------------
-    /**
-     * Enter batched mode: memory requests are recorded into @p batch
-     * (stamped with their master cycle, in nondecreasing order) instead
-     * of accessing the LLC, and dispatch never back-pressures — the
-     * serial phase replays the batch in canonical core order and parks
-     * MSHR-full requests LLC-side. @p batch must outlive the core's use.
-     */
-    void setBatchSink(std::vector<SharedLlc::CoreRequest>* batch);
-
-    /**
-     * Serial phase: stage the completion of load @p seq. Fired at
-     * @p due inside the core's next parallel window (a min-heap orders
-     * entries by due cycle, then sequence number; tied entries are
-     * observationally interchangeable — each just completes one
-     * window slot).
-     */
-    void postCompletion(Cycle due, std::uint64_t seq);
-
-    /**
-     * Parallel phase: run master cycles [begin, end), firing staged
-     * completions at their due cycles. Only this core's state is
-     * touched, so windows of different cores run concurrently.
-     */
-    void runWindow(Cycle begin, Cycle end);
-
-    /** Master cycle during which the instruction target was reached
-     * (meaningful once done()). */
-    Cycle finishMasterCycle() const { return finish_master_cycle_; }
-
     /** Instructions per CPU cycle at the moment the target was reached. */
     double ipc() const;
 
@@ -120,26 +89,6 @@ class O3Core final : private LoadSink
     bool finished_ = false;
     bool trace_exhausted_ = false;
     double cpu_budget_ = 0.0;
-
-    // Batched mode state. inbox_staged_ is written by the serial phase
-    // and moved into the core-local heap at window start, so the two
-    // sides are never touched concurrently.
-    std::vector<SharedLlc::CoreRequest>* batch_ = nullptr;
-    struct Pending
-    {
-        Cycle due;
-        std::uint64_t seq; ///< the load's token
-        bool operator>(const Pending& o) const
-        {
-            return due != o.due ? due > o.due : seq > o.seq;
-        }
-    };
-    std::vector<Pending> inbox_staged_;
-    std::priority_queue<Pending, std::vector<Pending>,
-                        std::greater<Pending>>
-        inbox_;
-    Cycle finish_master_cycle_ = 0;
-    Cycle tick_master_cycle_ = 0; ///< cycle of the tick in progress
 
     std::uint64_t loads_issued_ = 0;
     std::uint64_t stores_issued_ = 0;

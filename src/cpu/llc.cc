@@ -229,12 +229,8 @@ SharedLlc::onFill(Addr line_addr, Cycle now)
     QP_ASSERT(m >= 0, "fill without a matching MSHR");
     Mshr& mshr = mshrs_[static_cast<std::size_t>(m)];
     installLine(line_addr, mshr.make_dirty, now);
-    for (const LoadToken& load : mshr.waiters) {
-        if (router_)
-            router_(load.core, now, load.seq);
-        else
-            complete(load);
-    }
+    for (const LoadToken& load : mshr.waiters)
+        complete(load);
     mshr.valid = false;
     mshr.waiters.clear();
     --mshrs_in_use_;
@@ -267,111 +263,6 @@ SharedLlc::tick(Cycle now)
 }
 
 void
-SharedLlc::setCompletionRouter(CompletionRouter router)
-{
-    router_ = std::move(router);
-}
-
-void
-SharedLlc::admitRetries(Cycle now)
-{
-    while (!retry_queue_.empty() && mshrs_in_use_ < cfg_.mshrs) {
-        CoreRequest req = retry_queue_.front();
-        retry_queue_.pop_front();
-        // The line may have been installed (or its fill allocated) by
-        // a later request while this one was parked; re-dispatch
-        // through the normal paths so it merges or hits correctly.
-        replayOne(req, req.source, now);
-    }
-}
-
-void
-SharedLlc::replayOne(CoreRequest& req, int core, Cycle now)
-{
-    Addr line = lineAddr(req.addr);
-    Line* hit = findLine(line);
-
-    if (req.is_store) {
-        if (hit) {
-            ++stats_.store_hits;
-            hit->dirty = true;
-            hit->lru = ++lru_clock_;
-            return;
-        }
-        int m = findMshr(line);
-        if (m >= 0) {
-            mshrs_[static_cast<std::size_t>(m)].make_dirty = true;
-            ++stats_.store_misses;
-            return;
-        }
-        ++stats_.store_misses;
-        installLine(line, true, now);
-        return;
-    }
-
-    if (hit) {
-        ++stats_.load_hits;
-        hit->lru = ++lru_clock_;
-        router_(core, now + static_cast<Cycle>(cfg_.hit_latency), req.seq);
-        return;
-    }
-    int m = findMshr(line);
-    if (m >= 0) {
-        ++stats_.load_misses;
-        ++stats_.mshr_merges;
-        mshrs_[static_cast<std::size_t>(m)].waiters.push_back(
-            {core, req.seq});
-        return;
-    }
-    if (mshrs_in_use_ >= cfg_.mshrs) {
-        // Park instead of stalling the (already-advanced) core; the
-        // documented divergence point of batched mode.
-        req.at = now;
-        retry_queue_.push_back(req);
-        return;
-    }
-    ++stats_.load_misses;
-    allocateMshrAndFetch(line, {core, req.seq}, now);
-}
-
-void
-SharedLlc::replayWindow(Cycle begin, Cycle end,
-                        std::vector<std::vector<CoreRequest>>& batches,
-                        Cycle clip)
-{
-    QP_ASSERT(router_, "replayWindow requires batched mode");
-    // Per-core read cursors; each batch is stamped in nondecreasing
-    // cycle order by construction.
-    std::vector<std::size_t> cursor(batches.size(), 0);
-    for (Cycle u = begin; u < end && u <= clip; ++u) {
-        admitRetries(u);
-        drainWritebacks(u);
-        for (std::size_t c = 0; c < batches.size(); ++c) {
-            auto& batch = batches[c];
-            std::size_t& i = cursor[c];
-            while (i < batch.size() && batch[i].at == u) {
-                CoreRequest& req = batch[i];
-                if (req.is_store)
-                    ++stats_.stores;
-                else
-                    ++stats_.loads;
-                replayOne(req, static_cast<int>(c), u);
-                ++i;
-            }
-        }
-    }
-    for (auto& batch : batches)
-        batch.clear();
-}
-
-void
-SharedLlc::tickBatched(Cycle now)
-{
-    admitRetries(now);
-    drainWritebacks(now);
-}
-
-void
 SharedLlc::warmInstall(Addr addr)
 {
     Addr line = lineAddr(addr);
@@ -385,8 +276,7 @@ SharedLlc::quiesced() const
     for (const auto& q : pending_writebacks_)
         if (!q.empty())
             return false;
-    return mshrs_in_use_ == 0 && hit_events_.empty() &&
-           retry_queue_.empty();
+    return mshrs_in_use_ == 0 && hit_events_.empty();
 }
 
 } // namespace qprac::cpu

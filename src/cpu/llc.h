@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -111,55 +110,6 @@ class SharedLlc
     /** Advance; delivers hit completions and drains pending writebacks. */
     void tick(Cycle now);
 
-    // --- Batched-replay mode (engine v2 threaded cores) -----------------
-    /** One core->LLC request recorded during a parallel core window. */
-    struct CoreRequest
-    {
-        Cycle at = 0; ///< master cycle the core issued it
-        Addr addr = 0;
-        bool is_store = false;
-        int source = 0;
-        std::uint64_t seq = 0; ///< the load's token (loads only)
-    };
-
-    /**
-     * Where load completions go in batched mode: (core, due cycle,
-     * token). The System routes them into per-core inboxes; each core
-     * fires them at the due cycle inside its own parallel window.
-     */
-    using CompletionRouter =
-        std::function<void(int core, Cycle due, std::uint64_t seq)>;
-
-    /**
-     * Enter batched-replay mode. Cores then record their requests into
-     * per-core batches instead of calling access(), and the engine's
-     * serial phase replays them here in canonical (cycle, core) order.
-     * Load completions — hits and fills alike — leave through @p router
-     * instead of firing inline, and an access that finds the MSHR file
-     * full parks in a FIFO retry queue instead of stalling its core
-     * (the one place this mode's timing may diverge from the serial
-     * model; it is still deterministic at every thread count).
-     */
-    void setCompletionRouter(CompletionRouter router);
-
-    /**
-     * Serial phase, replay pass: for each cycle u in [begin, end),
-     * admit parked retries, drain pending writebacks, then replay
-     * every core's batch entries stamped u in core order. Entries
-     * stamped past @p clip are dropped (the run finished at clip).
-     * Batches are consumed (cleared) by the call.
-     */
-    void replayWindow(Cycle begin, Cycle end,
-                      std::vector<std::vector<CoreRequest>>& batches,
-                      Cycle clip);
-
-    /**
-     * Serial phase, delivery pass: per-cycle retry admission and
-     * writeback drain for cycles the replay pass has not reached yet
-     * (fills delivered at @p now may free MSHRs and evict dirty lines).
-     */
-    void tickBatched(Cycle now);
-
     /**
      * Install a line clean at time zero without touching stats or DRAM
      * (cache warmup for short simulations).
@@ -205,8 +155,6 @@ class SharedLlc
     void pushWriteback(Addr line_addr);
     void drainWritebacks(Cycle now);
     void complete(LoadToken load);
-    void replayOne(CoreRequest& req, int core, Cycle now);
-    void admitRetries(Cycle now);
     void allocateMshrAndFetch(Addr line, LoadToken load, Cycle now);
 
     LlcConfig cfg_;
@@ -226,7 +174,7 @@ class SharedLlc
         Cycle at;
         LoadToken load;
     };
-    /** Plain mode's pending hit completions, due in queue order. */
+    /** Pending hit completions, due in queue order. */
     std::deque<HitEvent> hit_events_;
     /**
      * Per-channel writeback overflow (no cross-channel head-of-line):
@@ -235,10 +183,6 @@ class SharedLlc
      * shard ingest.
      */
     std::vector<std::deque<Addr>> pending_writebacks_;
-    /** Batched mode only: requests parked on a full MSHR file, admitted
-     * FIFO at each serial-phase cycle as fills free entries. */
-    std::deque<CoreRequest> retry_queue_;
-    CompletionRouter router_; ///< non-null = batched-replay mode
     LlcStats stats_;
 };
 

@@ -108,7 +108,7 @@ struct ExperimentConfig
      * simulation results.
      */
     int shard_threads = 0;
-    /** Engine v2 switches (pipeline / steal / corepar); see
+    /** Engine v2 switches (pipeline / skip); see
      * sim/system.h. Autos resolve from the config, never the host. */
     EngineOptions engine;
 

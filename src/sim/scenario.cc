@@ -83,9 +83,9 @@ ScenarioConfig::keys()
         "nbo",      "nmit",       "recovery", "channels",
         "ranks",    "mapping",    "insts",    "cores",
         "seed",     "llc_mb",     "threads",  "baseline",
-        "r1",       "attack_cycles", "pipeline", "steal",
-        "corepar",  "skip",       "subarrays",  "counter-update",
-        "cuq_depth", "trace",     "trace-out",  "metrics-interval",
+        "r1",       "attack_cycles", "pipeline", "skip",
+        "subarrays", "counter-update", "cuq_depth", "trace",
+        "trace-out", "metrics-interval",
     };
     return k;
 }
@@ -283,12 +283,6 @@ ScenarioConfig::set(const std::string& key, const std::string& value,
     if (key == "pipeline")
         return parseEngineToggle(value, &engine.pipeline) ||
                fail("expected auto/on/off");
-    if (key == "steal")
-        return parseEngineToggle(value, &engine.steal) ||
-               fail("expected auto/on/off");
-    if (key == "corepar")
-        return parseEngineToggle(value, &engine.corepar) ||
-               fail("expected auto/on/off");
     if (key == "skip")
         return parseEngineToggle(value, &engine.skip) ||
                fail("expected auto/on/off");
@@ -338,10 +332,6 @@ ScenarioConfig::get(const std::string& key) const
         return attack_cycles ? std::to_string(attack_cycles) : "default";
     if (key == "pipeline")
         return toString(engine.pipeline);
-    if (key == "steal")
-        return toString(engine.steal);
-    if (key == "corepar")
-        return toString(engine.corepar);
     if (key == "skip")
         return toString(engine.skip);
     if (key == "subarrays")

@@ -109,13 +109,9 @@ struct ScenarioConfig
     /**
      * Engine v2 switches (sim/system.h), each "auto" / "on" / "off".
      * `pipeline` overlaps the serial LLC+core phase with the previous
-     * shard window (auto = on), `steal` selects work-stealing task
-     * dispatch (auto = on whenever a pool exists), `corepar` also
-     * threads the cores (auto = off; deterministic but not
-     * bit-identical to the serial core model under MSHR saturation),
-     * `skip` enables next-event cycle skipping in the shard loops
-     * (auto = on; bit-identical by the horizon contract).
-     * None of them changes results with the thread count.
+     * shard window (auto = on), `skip` enables next-event cycle
+     * skipping in the shard loops (auto = on; bit-identical by the
+     * horizon contract). Neither changes results.
      */
     EngineOptions engine;
 

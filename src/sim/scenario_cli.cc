@@ -18,56 +18,74 @@ namespace qprac::sim {
 
 namespace {
 
-const char* const kUsage =
-    "usage: qprac_sim [--workload NAME | --trace PATH] "
-    "[--mitigation NAME] [--backend NAME] [--psq-size N] "
-    "[--nbo N] [--nmit N] [--insts N] [--cores N] "
-    "[--channels N] [--ranks N] [--mapping NAME] [--seed N] "
-    "[--threads N|auto] [--recovery NAME] [--baseline] [--stats] "
-    "[--metrics] [--profile[=SECTIONS]] [--list] [--list-designs] "
-    "[--list-attacks]\n"
-    "                 [--config FILE] [--set key=value]... "
-    "[--sweep key=values]... [--json] [--csv PATH]\n"
-    "                 [--cache-dir PATH] [--isolate] "
-    "[--hash | --dry-run]\n"
-    "\n"
-    "Every run is a scenario: legacy flags and --set overrides apply\n"
-    "in command-line order on top of --config FILE (an INI of\n"
-    "key = value lines; keys: source mitigation backend psq_size nbo\n"
-    "nmit recovery channels ranks mapping insts cores seed llc_mb\n"
-    "threads baseline r1 attack_cycles pipeline steal corepar skip\n"
-    "subarrays counter-update cuq_depth trace trace-out\n"
-    "metrics-interval).\n"
-    "Sources: workload:NAME,\n"
-    "trace:PATH, attack:NAME (--list-attacks shows each family's\n"
-    "accepted keys). --recovery selects the ALERT_n blocking domain:\n"
-    "channel-stall (QPRAC ABO), bank-isolated (PRACtical-style) or\n"
-    "group-isolated.\n"
-    "--sweep takes key=v1,v2 or key=lo:hi[:step] and runs the\n"
-    "cross-product. --threads is the total budget, shared between\n"
-    "sweep points and the per-channel shard engine; results are\n"
-    "bit-identical at every thread count. pipeline/steal/corepar/skip\n"
-    "(auto|on|off) select the engine layers (pipelined main phase,\n"
-    "work-stealing dispatch, threaded cores, next-event cycle\n"
-    "skipping; see sim/system.h).\n"
-    "Observability (result-neutral): trace=CATS enables cycle-stamped\n"
-    "event tracing (CATS is all|off or a +-separated category list:\n"
-    "cmd refresh abo rfm recovery psq cuq attack); trace-out=PATH names\n"
-    "the Perfetto JSON (default qprac_trace-<hash>.json);\n"
-    "metrics-interval=N samples time-series every N cycles. --metrics\n"
-    "prints the metrics report (and defaults metrics-interval to 10000\n"
-    "when unset). --profile prints post-run profiling sections; pass\n"
-    "--profile=engine,cache,wall to select a subset (--profile-engine\n"
-    "is the historical alias for --profile=engine).\n"
-    "--json / --csv emit structured results.\n"
-    "--cache-dir keeps one content-addressed JSON sidecar per point\n"
-    "(named by the scenario hash, which excludes result-neutral keys:\n"
-    "threads/pipeline/steal/skip/trace/trace-out/metrics-interval);\n"
-    "reruns and resumed grids reuse hits\n"
-    "byte-for-byte. --isolate forks one qprac_sim per sweep point so a\n"
-    "crashing config becomes a recorded failed point instead of killing\n"
-    "the grid. --hash (alias --dry-run) prints each resolved point's\n"
-    "hash and cache status without simulating.\n";
+/** @p words joined by @p sep, broken into lines of at most 64 chars. */
+std::string
+wrappedList(const std::vector<std::string>& words, const char* sep)
+{
+    std::string out, line;
+    for (const auto& word : words) {
+        if (!line.empty() && line.size() + 1 + word.size() > 64) {
+            out += line + "\n";
+            line.clear();
+        } else if (!line.empty()) {
+            line += sep;
+        }
+        line += word;
+    }
+    return out + line;
+}
+
+/** The --help text; its key lists come from the key tables. */
+std::string
+usage()
+{
+    return strCat(
+        "usage: qprac_sim [--workload NAME | --trace PATH] "
+        "[--mitigation NAME] [--backend NAME] [--psq-size N] "
+        "[--nbo N] [--nmit N] [--insts N] [--cores N] "
+        "[--channels N] [--ranks N] [--mapping NAME] [--seed N] "
+        "[--threads N|auto] [--recovery NAME] [--baseline] [--stats] "
+        "[--metrics] [--profile[=SECTIONS]] [--list] [--list-designs] "
+        "[--list-attacks]\n"
+        "                 [--config FILE] [--set key=value]... "
+        "[--sweep key=values]... [--json] [--csv PATH]\n"
+        "                 [--cache-dir PATH] [--isolate] "
+        "[--hash | --dry-run]\n"
+        "\n"
+        "Every run is a scenario: legacy flags and --set overrides apply\n"
+        "in command-line order on top of --config FILE (an INI of\n"
+        "key = value lines). Keys:\n",
+        wrappedList(ScenarioConfig::keys(), " "), "\n",
+        "Sources: workload:NAME,\n"
+        "trace:PATH, attack:NAME (--list-attacks shows each family's\n"
+        "accepted keys). --recovery selects the ALERT_n blocking domain:\n"
+        "channel-stall (QPRAC ABO), bank-isolated (PRACtical-style) or\n"
+        "group-isolated.\n"
+        "--sweep takes key=v1,v2 or key=lo:hi[:step] and runs the\n"
+        "cross-product. --threads is the total budget, shared between\n"
+        "sweep points and the per-channel shard engine; results are\n"
+        "bit-identical at every thread count. pipeline/skip (auto|on|off)\n"
+        "select the engine layers (pipelined main phase, next-event cycle\n"
+        "skipping; see sim/system.h).\n"
+        "Observability (result-neutral): trace=CATS enables cycle-stamped\n"
+        "event tracing (CATS is all|off or a +-separated category list:\n"
+        "cmd refresh abo rfm recovery psq cuq attack); trace-out=PATH names\n"
+        "the Perfetto JSON (default qprac_trace-<hash>.json);\n"
+        "metrics-interval=N samples time-series every N cycles. --metrics\n"
+        "prints the metrics report (and defaults metrics-interval to 10000\n"
+        "when unset). --profile prints post-run profiling sections; pass\n"
+        "--profile=engine,cache,wall to select a subset (--profile-engine\n"
+        "is the historical alias for --profile=engine).\n"
+        "--json / --csv emit structured results.\n"
+        "--cache-dir keeps one content-addressed JSON sidecar per point\n"
+        "(named by the scenario hash, which excludes result-neutral keys:\n",
+        wrappedList(scenarioHashExcludedKeys(), "/"), ");\n",
+        "reruns and resumed grids reuse hits\n"
+        "byte-for-byte. --isolate forks one qprac_sim per sweep point so a\n"
+        "crashing config becomes a recorded failed point instead of killing\n"
+        "the grid. --hash (alias --dry-run) prints each resolved point's\n"
+        "hash and cache status without simulating.\n");
+}
 
 std::string
 listEverything()
@@ -629,7 +647,7 @@ runQpracSimCli(const std::vector<std::string>& args, std::string* out,
     auto usageError = [&](const std::string& msg) {
         if (!msg.empty())
             *err += msg + "\n";
-        *err += kUsage;
+        *err += usage();
         return 2;
     };
 
@@ -731,7 +749,7 @@ runQpracSimCli(const std::vector<std::string>& args, std::string* out,
             *out += listAttacks();
             return 0;
         } else if (arg == "--help" || arg == "-h") {
-            *out += kUsage;
+            *out += usage();
             return 0;
         } else {
             return usageError(strCat("unknown argument '", arg, "'"));

@@ -9,11 +9,11 @@ namespace {
 
 /**
  * Bumping this tag re-keys the whole cache; see the header contract.
- * v1: all ScenarioConfig keys except threads/pipeline/steal/skip and
- * the observability keys (trace/trace-out/metrics-interval), corepar
- * normalized auto -> off. (Excluded keys are never serialized, so
- * adding `skip` in PR 9 and the observability keys in PR 10 changed no
- * canonical key and needed no tag bump.) The counter-architecture keys (subarrays,
+ * v1: all ScenarioConfig keys except threads/pipeline/skip and the
+ * observability keys (trace/trace-out/metrics-interval), plus a fixed
+ * `corepar=off` line after attack_cycles. (Excluded keys are never
+ * serialized, so adding or removing one changes no canonical key and
+ * needs no tag bump.) The counter-architecture keys (subarrays,
  * counter-update, cuq_depth) serialize only when counter-update is not
  * inline: with inline updates they cannot affect any result, and
  * omitting them keeps every pre-subarray cache entry and golden hash
@@ -56,9 +56,8 @@ const std::vector<std::string>&
 scenarioHashExcludedKeys()
 {
     static const std::vector<std::string> keys = {
-        "threads",  "pipeline",  "steal",
-        "skip",     "trace",     "trace-out",
-        "metrics-interval"};
+        "threads", "pipeline",  "skip",
+        "trace",   "trace-out", "metrics-interval"};
     return keys;
 }
 
@@ -71,16 +70,13 @@ scenarioCanonicalKey(const ScenarioConfig& cfg)
     for (const auto& key : scenarioHashedKeys()) {
         if (inline_updates && isCounterArchKey(key))
             continue;
-        std::string value = cfg.get(key);
-        // corepar=auto resolves to off (EngineOptions contract: autos
-        // are pure functions of the config); hash the resolved value
-        // so the spellings share one cache entry.
-        if (key == "corepar" && value == "auto")
-            value = "off";
         out += key;
         out += '=';
-        out += value;
+        out += cfg.get(key);
         out += '\n';
+        // The retired corepar key's line keeps old hashes and sidecars valid.
+        if (key == "attack_cycles")
+            out += "corepar=off\n";
     }
     return out;
 }

@@ -39,21 +39,14 @@ toString(EngineToggle t)
 }
 
 int
-enginePoolDegree(int threads, int channels, bool pipeline, bool corepar,
-                 int cores)
+enginePoolDegree(int threads, int channels, bool pipeline)
 {
     threads = std::max(1, threads);
-    // The useful parallel width: one lane per shard, plus one per core
-    // in corepar mode, plus the caller lane when the main phase runs
-    // concurrently (pipeline) — capped by the thread budget, so a run
-    // never keeps more than `threads` threads busy.
-    int width;
-    if (corepar)
-        width = channels + cores;
-    else if (pipeline)
-        width = channels + 1;
-    else
-        width = channels;
+    // The useful parallel width: one lane per shard, plus the caller
+    // lane when the main phase runs concurrently (pipeline) — capped by
+    // the thread budget, so a run never keeps more than `threads`
+    // threads busy.
+    const int width = pipeline ? channels + 1 : channels;
     return std::max(1, std::min(threads, width));
 }
 
@@ -74,15 +67,8 @@ System::System(const SystemConfig& config, MitigationFactory mitigation,
     // config alone (never the host), so results are machine-portable.
     const Cycle lookahead = memory_->epochLength();
     const bool can_split = lookahead >= 2;
-    corepar_ = cfg_.engine.corepar == EngineToggle::On;
-    if (corepar_ && !can_split) {
-        warn("corepar=on needs a completion lookahead >= 2; running "
-             "the alternating engine");
-        corepar_ = false;
-    }
-    pipeline_ = !corepar_ &&
-                (cfg_.engine.pipeline == EngineToggle::On ||
-                 (cfg_.engine.pipeline == EngineToggle::Auto && can_split));
+    pipeline_ = cfg_.engine.pipeline == EngineToggle::On ||
+                (cfg_.engine.pipeline == EngineToggle::Auto && can_split);
     if (pipeline_ && !can_split) {
         warn("pipeline=on needs a completion lookahead >= 2; running "
              "the alternating engine");
@@ -90,24 +76,12 @@ System::System(const SystemConfig& config, MitigationFactory mitigation,
     }
     // The pipelined window: half the lookahead, so everything a shard
     // window emits lands beyond the main window running one step ahead.
-    // corepar additionally caps the window at the LLC hit latency so a
-    // hit completion issued in the replay of window k-1 is never due
-    // before window k begins.
-    step_ = lookahead;
-    if (corepar_)
-        step_ = std::max<Cycle>(
-            1, std::min<Cycle>(lookahead / 2,
-                               static_cast<Cycle>(cfg_.llc.hit_latency)));
-    else if (pipeline_)
-        step_ = std::max<Cycle>(1, lookahead / 2);
+    step_ = pipeline_ ? std::max<Cycle>(1, lookahead / 2) : lookahead;
 
     const int degree =
-        enginePoolDegree(cfg_.threads, cfg_.org.channels, pipeline_,
-                         corepar_, cfg_.num_cores);
+        enginePoolDegree(cfg_.threads, cfg_.org.channels, pipeline_);
     if (degree > 1)
         pool_ = std::make_unique<WorkerPool>(degree);
-    steal_ = cfg_.engine.steal == EngineToggle::On ||
-             (cfg_.engine.steal == EngineToggle::Auto && pool_ != nullptr);
     // Cycle skipping is bit-identical to dense ticking (the horizon
     // contract, ctrl/memory_system.h), so auto = on.
     skip_ = cfg_.engine.skip != EngineToggle::Off;
@@ -143,8 +117,6 @@ System::runAlternating()
     // completion firing in this main phase was mailed by an earlier
     // shard phase (the epoch length is the completion lookahead).
     const Cycle epoch = memory_->epochLength();
-    const auto mode = steal_ ? WorkerPool::Dispatch::Steal
-                             : WorkerPool::Dispatch::Counter;
     Cycle cycle = 0;
     bool all_done = false;
     while (cycle < cfg_.max_cycles && !all_done) {
@@ -168,12 +140,10 @@ System::runAlternating()
         if (pool_ && pool_->degree() > 1 && memory_->channels() > 1) {
             memory_->syncSubmitMailboxes();
             const Cycle b = cycle, e = shard_end;
-            pool_->run(
-                static_cast<std::size_t>(memory_->channels()),
-                [this, b, e](std::size_t i) {
-                    memory_->runShard(static_cast<int>(i), b, e, e);
-                },
-                mode);
+            pool_->run(static_cast<std::size_t>(memory_->channels()),
+                       [this, b, e](std::size_t i) {
+                           memory_->runShard(static_cast<int>(i), b, e, e);
+                       });
         } else {
             memory_->runEpoch(cycle, shard_end, nullptr);
         }
@@ -199,8 +169,6 @@ System::runPipelined()
     // (common/spsc.h), so admission decisions made while a shard
     // drains concurrently stay deterministic.
     const Cycle step = step_;
-    const auto mode = steal_ ? WorkerPool::Dispatch::Steal
-                             : WorkerPool::Dispatch::Counter;
     const auto nshards = static_cast<std::size_t>(memory_->channels());
     Cycle cycle = 0;
     bool all_done = false;
@@ -215,7 +183,7 @@ System::runPipelined()
             shard_job = [this, b, e, step](std::size_t i) {
                 memory_->runShard(static_cast<int>(i), b, e, e + step);
             };
-            pool_->dispatch(nshards, shard_job, mode);
+            pool_->dispatch(nshards, shard_job);
             overlapped = true;
         }
         Cycle main_end = end;
@@ -260,98 +228,6 @@ System::runPipelined()
     return cycle;
 }
 
-Cycle
-System::runCorePar()
-{
-    // Threaded-core schedule: step k runs a serial phase S_k — replay
-    // core batches from window k-1 in canonical (cycle, core) order,
-    // then deliver fills and drain writebacks for window k — followed
-    // by a parallel phase where every core executes window k and every
-    // shard executes window k-1, all as pool tasks. Because the window
-    // is at most half the completion lookahead, fills needed by S_k
-    // were mailed two steps ago; because it is at most the LLC hit
-    // latency, hit completions issued in S_k are never already due.
-    // LLC state transitions happen serially in global cycle order
-    // (fills of cycle u before replayed accesses of cycle u, exactly
-    // the serial model's within-cycle order), so results are identical
-    // at every thread count.
-    llc_->setCompletionRouter(
-        [this](int core, Cycle due, std::uint64_t seq) {
-            cores_[static_cast<std::size_t>(core)]->postCompletion(due,
-                                                                   seq);
-        });
-    batches_.assign(cores_.size(), {});
-    for (std::size_t i = 0; i < cores_.size(); ++i)
-        cores_[i]->setBatchSink(&batches_[i]);
-
-    const Cycle step = step_;
-    const auto mode = steal_ ? WorkerPool::Dispatch::Steal
-                             : WorkerPool::Dispatch::Counter;
-    const auto ncores = cores_.size();
-    const auto nshards = static_cast<std::size_t>(memory_->channels());
-    const Cycle no_clip = ~Cycle{0};
-    Cycle cycle = 0;
-    bool all_done = false;
-    Cycle prev_b = 0, prev_e = 0;
-    bool have_prev = false;
-    while (cycle < cfg_.max_cycles && !all_done) {
-        const Cycle end = std::min(cycle + step, cfg_.max_cycles);
-        // Serial phase S_k.
-        if (have_prev)
-            llc_->replayWindow(prev_b, prev_e, batches_, no_clip);
-        for (Cycle u = cycle; u < end; ++u) {
-            memory_->deliverCompletions(u);
-            llc_->tickBatched(u);
-        }
-        // Parallel phase: cores over [cycle, end), shards over the
-        // previous window (their submits were mailed in S_k).
-        const Cycle b = cycle, e = end, pb = prev_b, pe = prev_e;
-        const std::size_t tasks = ncores + (have_prev ? nshards : 0);
-        auto task = [this, b, e, pb, pe, step, ncores](std::size_t i) {
-            if (i < ncores)
-                cores_[i]->runWindow(b, e);
-            else
-                memory_->runShard(static_cast<int>(i - ncores), pb, pe,
-                                  pe + step);
-        };
-        if (pool_ && pool_->degree() > 1)
-            pool_->run(tasks, task, mode);
-        else
-            for (std::size_t i = 0; i < tasks; ++i)
-                task(i);
-        memory_->syncSubmitMailboxes();
-        all_done = true;
-        for (auto& core : cores_)
-            all_done = all_done && core->done();
-        prev_b = b;
-        prev_e = e;
-        have_prev = true;
-        cycle = end;
-    }
-    if (!all_done) {
-        if (have_prev) {
-            llc_->replayWindow(prev_b, prev_e, batches_, no_clip);
-            for (std::size_t i = 0; i < nshards; ++i)
-                memory_->runShard(static_cast<int>(i), prev_b, prev_e,
-                                  prev_e + step);
-        }
-        warn("simulation hit max_cycles before cores finished");
-        return cycle;
-    }
-    // The run ends at the master cycle the last core reached its
-    // target. Replay the final window clipped there and give the
-    // shards the same cycles the serial engine would have ticked.
-    Cycle finish = 0;
-    for (auto& core : cores_)
-        finish = std::max(finish, core->finishMasterCycle());
-    llc_->replayWindow(prev_b, std::min(prev_e, finish + 1), batches_,
-                       finish);
-    for (std::size_t i = 0; i < nshards; ++i)
-        memory_->runShard(static_cast<int>(i), prev_b, finish + 1,
-                          finish + 1 + step);
-    return finish;
-}
-
 SimResult
 System::collectResult(Cycle cycles) const
 {
@@ -385,13 +261,7 @@ SimResult
 System::run()
 {
     const auto start = std::chrono::steady_clock::now();
-    Cycle cycles;
-    if (corepar_)
-        cycles = runCorePar();
-    else if (pipeline_)
-        cycles = runPipelined();
-    else
-        cycles = runAlternating();
+    const Cycle cycles = pipeline_ ? runPipelined() : runAlternating();
     // Land any still-buffered ACT notifications before reading stats.
     memory_->flushMitigationActs();
     SimResult r = collectResult(cycles);

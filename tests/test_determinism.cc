@@ -289,38 +289,35 @@ TEST(Determinism, ThreadsKeyValidatesAndSupportsAuto)
     EXPECT_FALSE(cfg.set("threads", "5000", &err));
 }
 
-// --- Engine v2 (pipelined main phase, stealing, threaded cores) --------
+// --- Engine v2 (pipelined main phase) ----------------------------------
 
-TEST(Determinism, PipelinedStealingEngineBitIdenticalToSerialV1)
+TEST(Determinism, PipelinedEngineBitIdenticalToSerialV1)
 {
-    // The heart of the engine v2 contract: pipeline=on + steal=on must
-    // reproduce the v1 serial engine (pipeline=off, steal=off,
-    // threads=1) bit for bit, at every channel and thread count.
+    // The heart of the engine v2 contract: pipeline=on must reproduce
+    // the v1 serial engine (pipeline=off, threads=1) bit for bit, at
+    // every channel and thread count.
     for (int channels : {1, 2, 4, 8}) {
         ScenarioConfig v1 = baseConfig(channels, "429.mcf");
         std::string err;
         ASSERT_TRUE(v1.set("pipeline", "off", &err)) << err;
-        ASSERT_TRUE(v1.set("steal", "off", &err)) << err;
         const std::string golden = runWithThreads(v1, 1);
 
         ScenarioConfig v2 = baseConfig(channels, "429.mcf");
         ASSERT_TRUE(v2.set("pipeline", "on", &err)) << err;
-        ASSERT_TRUE(v2.set("steal", "on", &err)) << err;
         for (int threads : {1, 2, 4})
             EXPECT_EQ(golden, runWithThreads(v2, threads))
                 << "channels=" << channels << " threads=" << threads;
     }
 }
 
-TEST(Determinism, V1EngineStillMatchesAcrossThreadsWithStealing)
+TEST(Determinism, V1EngineThreadCountInvariant)
 {
-    // pipeline=off keeps the alternating schedule; stealing dispatch
-    // alone must not change a bit either.
+    // pipeline=off keeps the alternating schedule, whose shard phase
+    // runs on the pool: the thread count must not change a bit.
     for (int channels : {2, 4}) {
         ScenarioConfig cfg = baseConfig(channels, "450.soplex");
         std::string err;
         ASSERT_TRUE(cfg.set("pipeline", "off", &err)) << err;
-        ASSERT_TRUE(cfg.set("steal", "on", &err)) << err;
         const std::string serial = runWithThreads(cfg, 1);
         for (int threads : {2, 4})
             EXPECT_EQ(serial, runWithThreads(cfg, threads))
@@ -338,61 +335,17 @@ TEST(Determinism, PipelinedEngineDeterministicOnAlertActiveConfig)
     std::string err;
     ASSERT_TRUE(cfg.set("recovery", "bank-isolated", &err)) << err;
     ASSERT_TRUE(cfg.set("pipeline", "on", &err)) << err;
-    ASSERT_TRUE(cfg.set("steal", "on", &err)) << err;
     const std::string serial = runWithThreads(cfg, 1);
     for (int threads : {2, 4})
         EXPECT_EQ(serial, runWithThreads(cfg, threads))
             << "threads=" << threads;
 }
 
-TEST(Determinism, CoreParallelEngineThreadCountInvariant)
-{
-    // corepar is deterministic (not bit-identical to the serial core
-    // model, so it is compared against itself at threads=1).
-    for (int channels : {1, 2, 4}) {
-        ScenarioConfig cfg = baseConfig(channels, "429.mcf");
-        std::string err;
-        ASSERT_TRUE(cfg.set("corepar", "on", &err)) << err;
-        const std::string serial = runWithThreads(cfg, 1);
-        for (int threads : {2, 4})
-            EXPECT_EQ(serial, runWithThreads(cfg, threads))
-                << "channels=" << channels << " threads=" << threads;
-    }
-}
-
-TEST(Determinism, CoreParallelEngineRepeatedRunsStable)
-{
-    ScenarioConfig cfg = baseConfig(2, "450.soplex");
-    std::string err;
-    ASSERT_TRUE(cfg.set("corepar", "on", &err)) << err;
-    EXPECT_EQ(runWithThreads(cfg, 4), runWithThreads(cfg, 4));
-}
-
-TEST(Determinism, CoreParallelTracksSerialResultsClosely)
-{
-    // corepar's documented divergences (MSHR-saturation handling, core
-    // overshoot stats) do not bite on an ordinary config: the headline
-    // metrics must match the serial engine exactly here.
-    ScenarioConfig serial_cfg = baseConfig(2, "429.mcf");
-    std::string err;
-    ASSERT_TRUE(serial_cfg.set("pipeline", "off", &err)) << err;
-    ScenarioConfig corepar_cfg = baseConfig(2, "429.mcf");
-    ASSERT_TRUE(corepar_cfg.set("corepar", "on", &err)) << err;
-    ScenarioResult a = sim::runScenario(serial_cfg, 1);
-    ScenarioResult b = sim::runScenario(corepar_cfg, 1);
-    EXPECT_EQ(a.sim.cycles, b.sim.cycles);
-    EXPECT_EQ(a.sim.acts, b.sim.acts);
-    EXPECT_EQ(a.sim.stats.get("llc.load_misses"),
-              b.sim.stats.get("llc.load_misses"));
-    EXPECT_EQ(a.sim.stats.get("ctrl.reads_done"),
-              b.sim.stats.get("ctrl.reads_done"));
-}
-
 TEST(Determinism, EngineKeysValidateAndRoundTrip)
 {
     ScenarioConfig cfg;
     std::string err;
-    for (const char* key : {"pipeline", "steal", "corepar"}) {
+    for (const char* key : {"pipeline", "skip"}) {
         EXPECT_EQ(cfg.get(key), "auto") << key;
         EXPECT_TRUE(cfg.set(key, "on", &err)) << key << ": " << err;
         EXPECT_EQ(cfg.get(key), "on") << key;
@@ -401,16 +354,30 @@ TEST(Determinism, EngineKeysValidateAndRoundTrip)
         EXPECT_TRUE(cfg.set(key, "auto", &err)) << key << ": " << err;
         EXPECT_FALSE(cfg.set(key, "maybe", &err)) << key;
     }
+    // The retired threaded-core and work-stealing keys are unknown keys
+    // now, whatever the value: a key that is accepted and then ignored
+    // would lie.
+    for (const char* key : {"corepar", "steal"}) {
+        for (const char* value : {"on", "off", "auto"}) {
+            err.clear();
+            EXPECT_FALSE(cfg.set(key, value, &err)) << key << "=" << value;
+            EXPECT_NE(err.find("unknown config key"), std::string::npos)
+                << err;
+        }
+    }
     // INI round-trip carries the engine keys.
     ASSERT_TRUE(cfg.set("pipeline", "off", &err)) << err;
-    ASSERT_TRUE(cfg.set("corepar", "on", &err)) << err;
+    ASSERT_TRUE(cfg.set("skip", "on", &err)) << err;
     ScenarioConfig parsed;
     ASSERT_TRUE(
         ScenarioConfig::fromIniText(cfg.toIni(), &parsed, &err))
         << err;
     EXPECT_EQ(parsed.get("pipeline"), "off");
-    EXPECT_EQ(parsed.get("steal"), "auto");
-    EXPECT_EQ(parsed.get("corepar"), "on");
+    EXPECT_EQ(parsed.get("skip"), "on");
+    // ...and an INI line naming a retired key fails like any other
+    // unknown key.
+    EXPECT_FALSE(ScenarioConfig::fromIniText(cfg.toIni() + "corepar = off\n",
+                                             &parsed, &err));
 }
 
 TEST(Determinism, EnginePoolDegreeNeverExceedsThreadBudget)
@@ -423,21 +390,16 @@ TEST(Determinism, EnginePoolDegreeNeverExceedsThreadBudget)
     for (int threads : {1, 2, 3, 4, 8}) {
         for (int channels : {1, 2, 4, 8}) {
             for (bool pipeline : {false, true}) {
-                for (bool corepar : {false, true}) {
-                    const int d = enginePoolDegree(threads, channels,
-                                                   pipeline, corepar, 4);
-                    EXPECT_LE(d, std::max(1, threads));
-                    EXPECT_GE(d, 1);
-                }
+                const int d = enginePoolDegree(threads, channels, pipeline);
+                EXPECT_LE(d, std::max(1, threads));
+                EXPECT_GE(d, 1);
             }
         }
     }
     // v1 shape preserved: no pipeline, degree caps at the channel count.
-    EXPECT_EQ(enginePoolDegree(8, 2, false, false, 4), 2);
+    EXPECT_EQ(enginePoolDegree(8, 2, false), 2);
     // Pipeline adds exactly the caller lane.
-    EXPECT_EQ(enginePoolDegree(8, 2, true, false, 4), 3);
-    // corepar widens to channels + cores.
-    EXPECT_EQ(enginePoolDegree(8, 2, false, true, 4), 6);
+    EXPECT_EQ(enginePoolDegree(8, 2, true), 3);
 }
 
 TEST(Determinism, SweepReportsEngineThroughputBesideResults)

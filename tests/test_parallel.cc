@@ -237,57 +237,6 @@ TEST(WorkerPool, SumAcrossManyDispatches)
     EXPECT_EQ(sum.load(), want);
 }
 
-TEST(WorkerPool, StealModeCoversEveryIndexExactlyOnce)
-{
-    WorkerPool pool(4);
-    std::vector<std::atomic<int>> hits(64);
-    for (int round = 0; round < 50; ++round) {
-        for (auto& h : hits)
-            h = 0;
-        pool.run(
-            hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); },
-            WorkerPool::Dispatch::Steal);
-        for (const auto& h : hits)
-            ASSERT_EQ(h.load(), 1);
-    }
-}
-
-TEST(WorkerPool, StealModeGrowsTheRingAcrossDispatches)
-{
-    // The task ring is sized lazily; a later, wider dispatch must still
-    // cover everything (ring regrown, all indices enqueued).
-    WorkerPool pool(3);
-    for (std::size_t count : {4u, 16u, 256u, 7u, 1024u}) {
-        std::vector<std::atomic<int>> hits(count);
-        for (auto& h : hits)
-            h = 0;
-        pool.run(
-            count, [&](std::size_t i) { hits[i].fetch_add(1); },
-            WorkerPool::Dispatch::Steal);
-        for (const auto& h : hits)
-            ASSERT_EQ(h.load(), 1);
-    }
-}
-
-TEST(WorkerPool, StealAndCounterModesInterleave)
-{
-    WorkerPool pool(4);
-    std::atomic<long long> sum{0};
-    long long want = 0;
-    for (int round = 0; round < 100; ++round) {
-        const auto mode = round % 2 ? WorkerPool::Dispatch::Steal
-                                    : WorkerPool::Dispatch::Counter;
-        pool.run(
-            16,
-            [&](std::size_t i) {
-                sum.fetch_add(static_cast<long long>(i));
-            },
-            mode);
-        want += 120;
-    }
-    EXPECT_EQ(sum.load(), want);
-}
-
 TEST(WorkerPool, DispatchOverlapsCallerWorkUntilWait)
 {
     // dispatch()/wait() is the pipelined engine's overlap primitive:
@@ -304,7 +253,7 @@ TEST(WorkerPool, DispatchOverlapsCallerWorkUntilWait)
         for (auto& h : hits)
             h = 0;
         std::atomic<int> caller_work{0};
-        pool.dispatch(hits.size(), job, WorkerPool::Dispatch::Steal);
+        pool.dispatch(hits.size(), job);
         // Caller-side work the barrier must not depend on.
         for (int i = 0; i < 100; ++i)
             caller_work.fetch_add(1);
@@ -335,7 +284,6 @@ TEST(WorkerPool, ZeroCountDispatchIsANoOp)
     pool.dispatch(0, [&](std::size_t) { ++calls; });
     pool.wait();
     EXPECT_EQ(calls, 0);
-    pool.run(0, [&](std::size_t) { ++calls; },
-             WorkerPool::Dispatch::Steal);
+    pool.run(0, [&](std::size_t) { ++calls; });
     EXPECT_EQ(calls, 0);
 }

@@ -7,12 +7,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 
 #include "common/json.h"
+#include "sim/scenario.h"
 #include "sim/scenario_cli.h"
 
 using qprac::sim::runQpracSimCli;
@@ -221,6 +223,33 @@ TEST(QpracSimCli, RejectsGarbageNumbersLoudly)
                              &out, &err),
               2);
     EXPECT_NE(err.find("duplicate axis"), std::string::npos);
+}
+
+TEST(QpracSimCli, HelpNamesEveryScenarioKey)
+{
+    // The key lists in --help come from the key tables, so every key
+    // is named and the retired engine keys are not.
+    const std::string help = run({"--help"});
+    auto isKeyChar = [](char c) {
+        return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
+               c == '-';
+    };
+    // A whole-word match, so "r1" or "trace" cannot hide inside
+    // another word.
+    auto namesWord = [&](const std::string& word) {
+        for (auto at = help.find(word); at != std::string::npos;
+             at = help.find(word, at + 1)) {
+            const auto end = at + word.size();
+            if ((at == 0 || !isKeyChar(help[at - 1])) &&
+                (end == help.size() || !isKeyChar(help[end])))
+                return true;
+        }
+        return false;
+    };
+    for (const auto& key : qprac::sim::ScenarioConfig::keys())
+        EXPECT_TRUE(namesWord(key)) << key << " missing from:\n" << help;
+    EXPECT_EQ(help.find("corepar"), std::string::npos) << help;
+    EXPECT_EQ(help.find("steal"), std::string::npos) << help;
 }
 
 TEST(QpracSimCli, JsonRunIsValidAndCarriesAggregates)

@@ -67,36 +67,22 @@ TEST(ScenarioHash, ResultNeutralKeysNeverMoveTheHash)
 {
     const ScenarioConfig base;
     const std::uint64_t h = scenarioHash(base);
-    // threads / pipeline / steal are bit-identity-guaranteed by the
+    // threads / pipeline / skip are bit-identity-guaranteed by the
     // determinism suite, so every combination shares one cache entry.
     EXPECT_EQ(scenarioHash(withSets({{"threads", "4"}})), h);
     EXPECT_EQ(scenarioHash(withSets({{"threads", "1"}})), h);
     EXPECT_EQ(scenarioHash(withSets({{"pipeline", "on"}})), h);
-    EXPECT_EQ(scenarioHash(withSets({{"steal", "off"}})), h);
     EXPECT_EQ(scenarioHash(withSets({{"skip", "on"}})), h);
     EXPECT_EQ(scenarioHash(withSets({{"skip", "off"}})), h);
     EXPECT_EQ(scenarioHash(withSets({{"threads", "8"},
                                      {"pipeline", "off"},
-                                     {"steal", "on"},
                                      {"skip", "off"}})),
               h);
     // ...and the canonical key never even mentions them.
     const std::string key = scenarioCanonicalKey(base);
     EXPECT_EQ(key.find("threads="), std::string::npos) << key;
     EXPECT_EQ(key.find("pipeline="), std::string::npos) << key;
-    EXPECT_EQ(key.find("steal="), std::string::npos) << key;
     EXPECT_EQ(key.find("skip="), std::string::npos) << key;
-}
-
-TEST(ScenarioHash, CoreparIsHashedWithAutoNormalizedToOff)
-{
-    const std::uint64_t base = scenarioHash(ScenarioConfig{});
-    // corepar=on is deterministic but NOT bit-identical to the serial
-    // core model, so it must get its own cache entry...
-    EXPECT_NE(scenarioHash(withSets({{"corepar", "on"}})), base);
-    // ...while auto (which always resolves to off) aliases off.
-    EXPECT_EQ(scenarioHash(withSets({{"corepar", "auto"}})), base);
-    EXPECT_EQ(scenarioHash(withSets({{"corepar", "off"}})), base);
 }
 
 TEST(ScenarioHash, ResultBearingKeysEachMoveTheHash)
@@ -144,6 +130,11 @@ TEST(ScenarioHash, CanonicalKeyShape)
     // otherwise); every other hashed key always appears.
     const std::string key = scenarioCanonicalKey(ScenarioConfig{});
     EXPECT_EQ(key.rfind("qprac-scenario-v1\n", 0), 0u) << key;
+    // The retired corepar key keeps its fixed line, so existing hashes
+    // and cache sidecars stay valid.
+    EXPECT_NE(key.find("\nattack_cycles=default\ncorepar=off\n"),
+              std::string::npos)
+        << key;
     for (const auto& hashed : scenarioHashedKeys()) {
         if (isCounterArchKey(hashed)) {
             EXPECT_EQ(key.find("\n" + hashed + "="), std::string::npos)
