@@ -90,13 +90,13 @@ DesignSpec::mithril(int trh)
 std::uint64_t
 ExperimentConfig::defaultInstsPerCore()
 {
-    return envU64("QPRAC_INSTS", 300'000);
+    return envU64("QPRAC_INSTS", kBuiltinInstsPerCore);
 }
 
 std::uint64_t
 ExperimentConfig::defaultLlcMb()
 {
-    return std::max<std::uint64_t>(1, envU64("QPRAC_LLC_MB", 2));
+    return std::max<std::uint64_t>(1, envU64("QPRAC_LLC_MB", kBuiltinLlcMb));
 }
 
 std::uint64_t

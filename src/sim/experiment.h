@@ -112,7 +112,11 @@ struct ExperimentConfig
      * sim/system.h. Autos resolve from the config, never the host. */
     EngineOptions engine;
 
-    /** QPRAC_INSTS env var, else 300000. */
+    /** defaultInstsPerCore() and defaultLlcMb() with no env override. */
+    static constexpr std::uint64_t kBuiltinInstsPerCore = 300'000;
+    static constexpr std::uint64_t kBuiltinLlcMb = 2;
+
+    /** QPRAC_INSTS env var, else kBuiltinInstsPerCore. */
     static std::uint64_t defaultInstsPerCore();
 
     /** QPRAC_SEED env var, else 0 (historical seeding). */
@@ -121,7 +125,7 @@ struct ExperimentConfig
     /** QPRAC_THREADS env var, else hardware concurrency. */
     static int defaultThreads();
 
-    /** QPRAC_LLC_MB env var, else 2. */
+    /** QPRAC_LLC_MB env var (at least 1), else kBuiltinLlcMb. */
     static std::uint64_t defaultLlcMb();
 };
 

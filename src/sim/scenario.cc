@@ -73,289 +73,330 @@ parseSource(const std::string& text, SourceKind* kind, std::string* name)
     return !t.empty();
 }
 
+// --- Scenario-key table -----------------------------------------------
+
+namespace {
+
+/**
+ * Field @p member: @p parse reads a trimmed value into a T and returns
+ * "" or why the value is invalid; @p print gives the canonical form.
+ */
+template <typename T, typename Parse, typename Print>
+ScenarioField
+valueField(T ScenarioConfig::*member, Parse parse, Print print)
+{
+    return {[=](ScenarioConfig& c, const std::string& v, std::string* why) {
+                T value{};
+                *why = parse(trimmed(v), &value);
+                if (!why->empty())
+                    return false;
+                c.*member = std::move(value);
+                return true;
+            },
+            [=](const ScenarioConfig& c) { return print(c.*member); }};
+}
+
+const auto decimal = [](auto n) { return std::to_string(n); };
+const auto asIs = [](const std::string& s) { return s; };
+
+/** valueField's parse result: "" when @p ok, else @p why. */
+std::string
+unless(bool ok, const std::string& why)
+{
+    return ok ? std::string() : why;
+}
+
+/** Integer in [lo, hi]; @p zero_word, when given, also reads as 0. */
+ScenarioField
+intField(int ScenarioConfig::*member, int lo, int hi,
+         const char* zero_word = nullptr)
+{
+    const std::string why =
+        strCat("expected ", zero_word ? strCat("'", zero_word, "' or ") : "",
+               "an integer in [", lo, ", ", hi, "]");
+    return valueField(
+        member,
+        [=](const std::string& v, int* n) {
+            return unless((zero_word && v == zero_word) ||
+                              parseIntInRange(v, lo, hi, n),
+                          why);
+        },
+        decimal);
+}
+
+ScenarioField
+powerOfTwoField(int ScenarioConfig::*member, int hi)
+{
+    const std::string why = strCat("expected a power of two in [1, ", hi, "]");
+    return valueField(
+        member,
+        [=](const std::string& v, int* n) {
+            return unless(parseIntInRange(v, 1, hi, n) &&
+                              isPowerOfTwo(static_cast<std::uint64_t>(*n)),
+                          why);
+        },
+        decimal);
+}
+
+/**
+ * Unsigned integer up to @p hi. With a @p zero_word, 0 is a sentinel
+ * spelled only that way, in and out, so a config cannot silently ask
+ * for a zero-length run or an every-cycle sampler.
+ */
+ScenarioField
+u64Field(std::uint64_t ScenarioConfig::*member, std::uint64_t hi,
+         const char* zero_word, const char* why)
+{
+    return valueField(
+        member,
+        [=](const std::string& v, std::uint64_t* n) {
+            return unless((zero_word && v == zero_word) ||
+                              (parseU64(v, n) && (*n || !zero_word) &&
+                               *n <= hi),
+                          why);
+        },
+        [=](std::uint64_t n) {
+            return n || !zero_word ? std::to_string(n) : zero_word;
+        });
+}
+
+/** Enum spelled by name: @p parse accepts aliases, @p name is canonical. */
+template <typename Kind>
+ScenarioField
+enumField(std::string ScenarioConfig::*member,
+          bool (*parse)(const std::string&, Kind*), const char* (*name)(Kind),
+          const char* why)
+{
+    return valueField(
+        member,
+        [=](const std::string& v, std::string* out) {
+            Kind kind;
+            const bool ok = parse(v, &kind);
+            if (ok)
+                *out = name(kind);
+            return unless(ok, why);
+        },
+        asIs);
+}
+
+/** Text kept as given (trimmed) when @p valid accepts it. */
+ScenarioField
+textField(std::string ScenarioConfig::*member,
+          bool (*valid)(const std::string&), const char* why)
+{
+    return valueField(
+        member,
+        [=](const std::string& v, std::string* out) {
+            *out = v;
+            return unless(valid(v), why);
+        },
+        asIs);
+}
+
+ScenarioField
+toggleField(EngineToggle EngineOptions::*toggle)
+{
+    return {[=](ScenarioConfig& c, const std::string& v, std::string* why) {
+                *why = unless(parseEngineToggle(v, &(c.engine.*toggle)),
+                              "expected auto/on/off");
+                return why->empty();
+            },
+            [=](const ScenarioConfig& c) {
+                return toString(c.engine.*toggle);
+            }};
+}
+
+/** A source in its canonical prefixed form. */
+std::string
+parseSourceValue(const std::string& v, std::string* out)
+{
+    SourceKind kind;
+    std::string name;
+    if (!parseSource(v, &kind, &name))
+        return "empty or malformed source";
+    if (!ScenarioRegistry::instance().has(v))
+        return kind == SourceKind::Workload ? "unknown workload"
+                                            : "unknown attack family";
+    *out = strCat(kind == SourceKind::Workload    ? kWorkloadPrefix
+                  : kind == SourceKind::TraceFile ? kTracePrefix
+                                                  : kAttackPrefix,
+                  name);
+    return "";
+}
+
+/** A trace category list in canonical order. */
+std::string
+parseTraceValue(const std::string& v, std::string* out)
+{
+    std::uint32_t mask = 0;
+    std::string why;
+    if (obs::parseCategoryMask(v, &mask, &why))
+        *out = obs::categoryMaskToString(mask);
+    return why;
+}
+
+} // namespace
+
+const std::vector<ScenarioKey>&
+scenarioKeyTable()
+{
+    using C = ScenarioConfig;
+    using H = KeyHashClass;
+    static const std::vector<ScenarioKey> table = {
+        {"source", H::Result, nullptr,
+         "workload:NAME, trace:PATH or attack:NAME (--list)",
+         valueField(&C::source, parseSourceValue, asIs)},
+        {"mitigation", H::Result, "--mitigation",
+         "design under test, e.g. qprac@heap (--list-designs)",
+         textField(
+             &C::mitigation,
+             [](const std::string& v) {
+                 return mitigations::MitigationRegistry::instance().has(v);
+             },
+             "unknown mitigation design (see --list-designs)")},
+        {"backend", H::Result, "--backend",
+         "QPRAC service queue: linear, heap, coalescing (empty: design's)",
+         textField(
+             &C::backend,
+             [](const std::string& v) {
+                 core::SqBackendKind kind;
+                 return v.empty() || core::parseSqBackend(v, &kind);
+             },
+             "unknown service-queue backend")},
+        {"psq_size", H::Result, "--psq-size",
+         "PSQ entries per bank (0: design default)",
+         intField(&C::psq_size, 0, 1024)},
+        {"nbo", H::Result, "--nbo", "Back-Off threshold",
+         intField(&C::nbo, 1, 1'000'000)},
+        {"nmit", H::Result, "--nmit", "RFMs per alert",
+         intField(&C::nmit, 1, 64)},
+        {"recovery", H::Result, "--recovery",
+         "ALERT_n blocking: channel-stall, bank-isolated, group-isolated",
+         enumField(&C::recovery, ctrl::parseRecoveryKind,
+                   ctrl::recoveryKindName,
+                   "expected channel-stall, bank-isolated or group-isolated")},
+        {"channels", H::Result, "--channels", "independent DRAM channels",
+         powerOfTwoField(&C::channels, 64)},
+        {"ranks", H::Result, "--ranks", "ranks per channel",
+         powerOfTwoField(&C::ranks, 64)},
+        {"mapping", H::Result, "--mapping",
+         "address mapping: row-major, bank-striped, channel-striped",
+         enumField(&C::mapping, dram::parseMappingScheme,
+                   dram::mappingSchemeName, "unknown mapping scheme")},
+        {"insts", H::Result, "--insts",
+         "instructions per core (default: QPRAC_INSTS or 300000)",
+         u64Field(&C::insts, UINT64_MAX, "default",
+                  "expected a positive integer or 'default'")},
+        {"cores", H::Result, "--cores", "CPU cores, one trace each",
+         intField(&C::cores, 1, 1024)},
+        {"seed", H::Result, "--seed",
+         "extra trace-RNG seed (0: QPRAC_SEED or base seeding)",
+         u64Field(&C::seed, UINT64_MAX, nullptr,
+                  "expected a non-negative integer")},
+        {"llc_mb", H::Result, nullptr, "LLC MiB (0: QPRAC_LLC_MB or 2)",
+         u64Field(&C::llc_mb, 16384, nullptr,
+                  "expected an integer in [0, 16384]")},
+        {"threads", H::Neutral, "--threads",
+         "thread budget of points and shards (0|auto: QPRAC_THREADS/all)",
+         intField(&C::threads, 0, 4096, "auto")},
+        {"baseline", H::Result, nullptr,
+         "also run the insecure baseline (norm_perf)",
+         valueField(&C::baseline,
+                    [](const std::string& v, bool* b) {
+                        return unless(parseBool(v, b), "expected true/false");
+                    },
+                    [](bool b) { return std::string(b ? "true" : "false"); })},
+        {"r1", H::Result, nullptr, "attack:wave starting pool size",
+         intField(&C::r1, 1, 10'000'000)},
+        {"attack_cycles", H::Result, nullptr,
+         "cycle budget of attack:perf/rfm-probe/recovery-dos",
+         u64Field(&C::attack_cycles, 2'000'000'000, "default",
+                  "expected an integer in [1, 2000000000] or 'default'")},
+        {"pipeline", H::Neutral, nullptr,
+         "engine: overlap cores with the last shard window (auto|on|off)",
+         toggleField(&EngineOptions::pipeline)},
+        {"skip", H::Neutral, nullptr,
+         "engine: next-event cycle skipping in shards (auto|on|off)",
+         toggleField(&EngineOptions::skip)},
+        {"subarrays", H::UnlessInline, nullptr,
+         "subarrays per bank (counter tiles)",
+         powerOfTwoField(&C::subarrays, 1024)},
+        {"counter-update", H::UnlessInline, nullptr,
+         "PRAC counter write-back: inline, queued, coalesced",
+         enumField(&C::counter_update, dram::parseCounterUpdateMode,
+                   dram::counterUpdateModeName,
+                   "expected inline, queued or coalesced")},
+        {"cuq_depth", H::UnlessInline, nullptr,
+         "per-bank counter write-back queue depth",
+         intField(&C::cuq_depth, 1, 4096)},
+        {"trace", H::Neutral, nullptr,
+         "event tracing: off, all or a comma list of cmd,refresh,abo,rfm,"
+         "recovery,psq,cuq,attack",
+         valueField(&C::trace, parseTraceValue, asIs)},
+        {"trace-out", H::Neutral, nullptr,
+         "trace file (empty: qprac_trace-<hash>.json; .csv: CSV)",
+         textField(
+             &C::trace_out, [](const std::string&) { return true; }, "")},
+        {"metrics-interval", H::Neutral, nullptr,
+         "metrics sampling period in cycles (off: no sampling)",
+         u64Field(&C::metrics_interval, 1'000'000'000, "off",
+                  "expected 'off' or a cycle count in [1, 1000000000]")},
+    };
+    return table;
+}
+
+const ScenarioKey*
+findScenarioKey(const std::string& name)
+{
+    for (const auto& row : scenarioKeyTable())
+        if (name == row.name)
+            return &row;
+    return nullptr;
+}
+
 // --- ScenarioConfig ---------------------------------------------------
 
 const std::vector<std::string>&
 ScenarioConfig::keys()
 {
-    static const std::vector<std::string> k = {
-        "source",   "mitigation", "backend",  "psq_size",
-        "nbo",      "nmit",       "recovery", "channels",
-        "ranks",    "mapping",    "insts",    "cores",
-        "seed",     "llc_mb",     "threads",  "baseline",
-        "r1",       "attack_cycles", "pipeline", "skip",
-        "subarrays", "counter-update", "cuq_depth", "trace",
-        "trace-out", "metrics-interval",
-    };
-    return k;
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> out;
+        for (const auto& row : scenarioKeyTable())
+            out.push_back(row.name);
+        return out;
+    }();
+    return names;
 }
 
 bool
 ScenarioConfig::set(const std::string& key, const std::string& value,
                     std::string* err)
 {
-    auto fail = [&](const std::string& why) {
-        if (err)
-            *err = strCat(key, "='", value, "': ", why);
-        return false;
-    };
-
-    if (key == "source") {
-        SourceKind kind;
-        std::string name;
-        if (!parseSource(value, &kind, &name))
-            return fail("empty or malformed source");
-        if (kind == SourceKind::Workload && !hasWorkload(name))
-            return fail("unknown workload");
-        if (kind == SourceKind::Attack &&
-            !ScenarioRegistry::instance().has(value))
-            return fail("unknown attack family");
-        // Normalize to the canonical prefixed form.
-        switch (kind) {
-        case SourceKind::Workload:
-            source = strCat(kWorkloadPrefix, name);
-            break;
-        case SourceKind::TraceFile:
-            source = strCat(kTracePrefix, name);
-            break;
-        case SourceKind::Attack:
-            source = strCat(kAttackPrefix, name);
-            break;
-        }
+    const ScenarioKey* row = findScenarioKey(key);
+    std::string why;
+    if (row && row->field.parse(*this, value, &why))
         return true;
-    }
-    if (key == "mitigation") {
-        std::string m = trimmed(value);
-        if (!mitigations::MitigationRegistry::instance().has(m))
-            return fail("unknown mitigation design (see --list-designs)");
-        mitigation = m;
-        return true;
-    }
-    if (key == "backend") {
-        std::string b = trimmed(value);
-        core::SqBackendKind kind;
-        if (!b.empty() && !core::parseSqBackend(b, &kind))
-            return fail("unknown service-queue backend");
-        backend = b;
-        return true;
-    }
-    if (key == "psq_size")
-        return parseIntInRange(value, 0, 1024, &psq_size) ||
-               fail("expected an integer in [0, 1024]");
-    if (key == "nbo")
-        return parseIntInRange(value, 1, 1'000'000, &nbo) ||
-               fail("expected an integer in [1, 1000000]");
-    if (key == "nmit")
-        return parseIntInRange(value, 1, 64, &nmit) ||
-               fail("expected an integer in [1, 64]");
-    if (key == "recovery") {
-        ctrl::RecoveryKind kind;
-        if (!ctrl::parseRecoveryKind(trimmed(value), &kind))
-            return fail("expected channel-stall, bank-isolated or "
-                        "group-isolated");
-        recovery = ctrl::recoveryKindName(kind);
-        return true;
-    }
-    if (key == "channels") {
-        int v = 0;
-        if (!parseIntInRange(value, 1, 64, &v) ||
-            !isPowerOfTwo(static_cast<std::uint64_t>(v)))
-            return fail("expected a power of two in [1, 64]");
-        channels = v;
-        return true;
-    }
-    if (key == "ranks") {
-        int v = 0;
-        if (!parseIntInRange(value, 1, 64, &v) ||
-            !isPowerOfTwo(static_cast<std::uint64_t>(v)))
-            return fail("expected a power of two in [1, 64]");
-        ranks = v;
-        return true;
-    }
-    if (key == "mapping") {
-        dram::MappingScheme scheme;
-        if (!dram::parseMappingScheme(trimmed(value), &scheme))
-            return fail("unknown mapping scheme");
-        mapping = dram::mappingSchemeName(scheme);
-        return true;
-    }
-    if (key == "insts") {
-        // 0 is the "harness default" sentinel (QPRAC_INSTS or 300000),
-        // spelled "default" so a config can't silently request a
-        // degenerate zero-instruction run.
-        if (trimmed(value) == "default") {
-            insts = 0;
-            return true;
-        }
-        std::uint64_t v = 0;
-        if (!parseU64(value, &v) || v == 0)
-            return fail("expected a positive integer or 'default'");
-        insts = v;
-        return true;
-    }
-    if (key == "cores")
-        return parseIntInRange(value, 1, 1024, &cores) ||
-               fail("expected an integer in [1, 1024]");
-    if (key == "seed")
-        return parseU64(value, &seed) ||
-               fail("expected a non-negative integer");
-    if (key == "llc_mb") {
-        std::uint64_t v = 0;
-        if (!parseU64(value, &v) || v > 16384)
-            return fail("expected an integer in [0, 16384]");
-        llc_mb = v;
-        return true;
-    }
-    if (key == "threads") {
-        // "auto" (= 0) defers to QPRAC_THREADS / hardware concurrency;
-        // an explicit N pins the total thread budget.
-        if (trimmed(value) == "auto") {
-            threads = 0;
-            return true;
-        }
-        return parseIntInRange(value, 0, 4096, &threads) ||
-               fail("expected 'auto' or an integer in [0, 4096]");
-    }
-    if (key == "baseline")
-        return parseBool(value, &baseline) ||
-               fail("expected true/false");
-    if (key == "r1")
-        return parseIntInRange(value, 1, 10'000'000, &r1) ||
-               fail("expected an integer in [1, 10000000]");
-    if (key == "attack_cycles") {
-        // 0 is the "family default" sentinel, spelled "default" like
-        // insts so a config can't silently request a zero-cycle run.
-        if (trimmed(value) == "default") {
-            attack_cycles = 0;
-            return true;
-        }
-        std::uint64_t v = 0;
-        if (!parseU64(value, &v) || v == 0 || v > 2'000'000'000)
-            return fail(
-                "expected an integer in [1, 2000000000] or 'default'");
-        attack_cycles = v;
-        return true;
-    }
-    if (key == "subarrays") {
-        int v = 0;
-        if (!parseIntInRange(value, 1, 1024, &v) ||
-            !isPowerOfTwo(static_cast<std::uint64_t>(v)))
-            return fail("expected a power of two in [1, 1024]");
-        subarrays = v;
-        return true;
-    }
-    if (key == "counter-update") {
-        dram::CounterUpdateMode mode;
-        if (!dram::parseCounterUpdateMode(trimmed(value), &mode))
-            return fail("expected inline, queued or coalesced");
-        counter_update = dram::counterUpdateModeName(mode);
-        return true;
-    }
-    if (key == "cuq_depth")
-        return parseIntInRange(value, 1, 4096, &cuq_depth) ||
-               fail("expected an integer in [1, 4096]");
-    if (key == "trace") {
-        std::uint32_t mask = 0;
-        std::string mask_err;
-        if (!obs::parseCategoryMask(trimmed(value), &mask, &mask_err))
-            return fail(mask_err);
-        trace = obs::categoryMaskToString(mask);
-        return true;
-    }
-    if (key == "trace-out") {
-        trace_out = trimmed(value);
-        return true;
-    }
-    if (key == "metrics-interval") {
-        // 0 is spelled "off" so a config can't silently request a
-        // zero-period (every-cycle) sampler.
-        if (trimmed(value) == "off") {
-            metrics_interval = 0;
-            return true;
-        }
-        std::uint64_t v = 0;
-        if (!parseU64(value, &v) || v == 0 || v > 1'000'000'000)
-            return fail("expected 'off' or a cycle count in "
-                        "[1, 1000000000]");
-        metrics_interval = v;
-        return true;
-    }
-    if (key == "pipeline")
-        return parseEngineToggle(value, &engine.pipeline) ||
-               fail("expected auto/on/off");
-    if (key == "skip")
-        return parseEngineToggle(value, &engine.skip) ||
-               fail("expected auto/on/off");
     if (err)
-        *err = strCat("unknown config key '", key, "'");
+        *err = row ? strCat(key, "='", value, "': ", why)
+                   : strCat("unknown config key '", key, "'");
     return false;
 }
 
 std::string
 ScenarioConfig::get(const std::string& key) const
 {
-    if (key == "source")
-        return source;
-    if (key == "mitigation")
-        return mitigation;
-    if (key == "backend")
-        return backend;
-    if (key == "psq_size")
-        return std::to_string(psq_size);
-    if (key == "nbo")
-        return std::to_string(nbo);
-    if (key == "nmit")
-        return std::to_string(nmit);
-    if (key == "recovery")
-        return recovery;
-    if (key == "channels")
-        return std::to_string(channels);
-    if (key == "ranks")
-        return std::to_string(ranks);
-    if (key == "mapping")
-        return mapping;
-    if (key == "insts")
-        return insts ? std::to_string(insts) : "default";
-    if (key == "cores")
-        return std::to_string(cores);
-    if (key == "seed")
-        return std::to_string(seed);
-    if (key == "llc_mb")
-        return std::to_string(llc_mb);
-    if (key == "threads")
-        return std::to_string(threads);
-    if (key == "baseline")
-        return baseline ? "true" : "false";
-    if (key == "r1")
-        return std::to_string(r1);
-    if (key == "attack_cycles")
-        return attack_cycles ? std::to_string(attack_cycles) : "default";
-    if (key == "pipeline")
-        return toString(engine.pipeline);
-    if (key == "skip")
-        return toString(engine.skip);
-    if (key == "subarrays")
-        return std::to_string(subarrays);
-    if (key == "counter-update")
-        return counter_update;
-    if (key == "cuq_depth")
-        return std::to_string(cuq_depth);
-    if (key == "trace")
-        return trace;
-    if (key == "trace-out")
-        return trace_out;
-    if (key == "metrics-interval")
-        return metrics_interval ? std::to_string(metrics_interval)
-                                : "off";
-    fatal(strCat("ScenarioConfig::get: unknown key '", key, "'"));
+    const ScenarioKey* row = findScenarioKey(key);
+    if (!row)
+        fatal(strCat("ScenarioConfig::get: unknown key '", key, "'"));
+    return row->field.print(*this);
 }
 
 std::string
 ScenarioConfig::toIni() const
 {
     std::string out = "# qprac scenario\n";
-    for (const auto& key : keys())
-        out += strCat(key, " = ", get(key), "\n");
+    for (const auto& row : scenarioKeyTable())
+        out += strCat(row.name, " = ", row.field.print(*this), "\n");
     return out;
 }
 
@@ -432,8 +473,8 @@ ScenarioConfig::validate(std::string* err) const
     // Benches and tests may mutate fields directly, so re-run the
     // per-key validation on every field's canonical form.
     ScenarioConfig probe;
-    for (const auto& key : keys())
-        if (!probe.set(key, get(key), err))
+    for (const auto& row : scenarioKeyTable())
+        if (!probe.set(row.name, row.field.print(*this), err))
             return false;
     if (sourceKind() == SourceKind::Attack && channels != 1 &&
         !ScenarioRegistry::instance().attackSupportsChannels(
@@ -948,16 +989,11 @@ ScenarioRegistry::sources() const
 void
 ScenarioRegistry::registerAttack(const std::string& name,
                                  const std::string& description,
-                                 AttackRunner run)
-{
-    registerAttack(name, description, AttackOptions{}, std::move(run));
-}
-
-void
-ScenarioRegistry::registerAttack(const std::string& name,
-                                 const std::string& description,
                                  AttackOptions options, AttackRunner run)
 {
+    for (const auto& key : options.keys)
+        QP_ASSERT(findScenarioKey(key), "attack '", name,
+                  "' lists unknown scenario key '", key, "'");
     if (!attacks_.count(name))
         attack_order_.push_back(name);
     attacks_[name] =
@@ -1085,8 +1121,7 @@ SweepAxis::parse(const std::string& text, SweepAxis* out, std::string* err)
         return fail("expected key=values");
     std::string key = trimmed(text.substr(0, eq));
     std::string rest = trimmed(text.substr(eq + 1));
-    const auto& valid = ScenarioConfig::keys();
-    if (std::find(valid.begin(), valid.end(), key) == valid.end())
+    if (!findScenarioKey(key))
         return fail(strCat("unknown config key '", key, "'"));
     if (rest.empty())
         return fail("empty value list");
@@ -1229,15 +1264,14 @@ runIsolatedPoint(const ScenarioConfig& cfg, const std::string& exe,
                  int inner_threads, ScenarioResult* out,
                  std::string* err)
 {
+    // The child gets this point's shard-thread share; threads is
+    // result-neutral by the determinism contract.
+    ScenarioConfig child = cfg;
+    child.threads = inner_threads;
     std::vector<std::string> args;
-    for (const auto& key : ScenarioConfig::keys()) {
-        std::string value = cfg.get(key);
-        // The child gets this point's shard-thread share; the key is
-        // result-neutral by the determinism contract.
-        if (key == "threads")
-            value = std::to_string(inner_threads);
+    for (const auto& row : scenarioKeyTable()) {
         args.push_back("--set");
-        args.push_back(strCat(key, "=", value));
+        args.push_back(strCat(row.name, "=", row.field.print(child)));
     }
     args.push_back("--json");
 

@@ -59,10 +59,11 @@ bool parseSource(const std::string& text, SourceKind* kind,
                  std::string* name);
 
 /**
- * One fully-described run. Every field has a `key = value` form; see
- * keys() for the canonical order. Numeric fields are validated on
- * set() through common/parse (garbage and out-of-range values are
- * rejected with a message, never silently coerced).
+ * One fully-described run. Every field has a `key = value` form,
+ * declared by one row of scenarioKeyTable(); keys() gives the
+ * canonical order. Numeric fields are validated on set() through
+ * common/parse (garbage and out-of-range values are rejected with a
+ * message, never silently coerced).
  */
 struct ScenarioConfig
 {
@@ -75,11 +76,7 @@ struct ScenarioConfig
     int psq_size = 0;    ///< PSQ entries per bank (0 = design default)
     int nbo = 32;        ///< Back-Off threshold
     int nmit = 1;        ///< RFMs per alert
-    /**
-     * ALERT_n recovery blocking granularity (ctrl/recovery):
-     * "channel-stall" (QPRAC ABO, the default), "bank-isolated"
-     * (PRACtical-style) or "group-isolated" (bank-group middle point).
-     */
+    /** ALERT_n recovery blocking granularity (ctrl/recovery). */
     std::string recovery = "channel-stall";
 
     // --- geometry -----------------------------------------------------
@@ -88,12 +85,7 @@ struct ScenarioConfig
     std::string mapping = "row-major";
 
     // --- run ----------------------------------------------------------
-    /**
-     * Per-core instructions. 0 means "harness default" (QPRAC_INSTS or
-     * 300000) and serializes as the explicit string "default" — a
-     * config cannot silently request a zero-instruction run.
-     */
-    std::uint64_t insts = 0;
+    std::uint64_t insts = 0; ///< per-core instructions (0 = harness default)
     int cores = 4;
     std::uint64_t seed = 0;   ///< extra trace-RNG seed (0 = base seeding)
     std::uint64_t llc_mb = 0; ///< LLC size (0 = harness default)
@@ -101,26 +93,23 @@ struct ScenarioConfig
      * Total thread budget for the run: sweep-level parallelism and the
      * per-channel shard engine share it (runSweep hands each point an
      * equal slice via innerThreadBudget, a single run spends it all on
-     * shard threading). 0 (spelled "auto" in configs) = hardware
-     * concurrency / QPRAC_THREADS. Never changes simulation results.
+     * shard threading). 0 = hardware concurrency / QPRAC_THREADS.
+     * Never changes simulation results.
      */
     int threads = 0;
     bool baseline = false;    ///< also run the insecure baseline
     /**
-     * Engine v2 switches (sim/system.h), each "auto" / "on" / "off".
-     * `pipeline` overlaps the serial LLC+core phase with the previous
-     * shard window (auto = on), `skip` enables next-event cycle
-     * skipping in the shard loops (auto = on; bit-identical by the
-     * horizon contract). Neither changes results.
+     * Engine v2 switches (sim/system.h): `pipeline` overlaps the serial
+     * LLC+core phase with the previous shard window, `skip` enables
+     * next-event cycle skipping in the shard loops (bit-identical by
+     * the horizon contract). Neither changes results.
      */
     EngineOptions engine;
 
     // --- counter architecture ------------------------------------------
-    /**
-     * Subarrays per bank (power of two in [1, 1024]). A pure storage
-     * layout with inline updates; with queued/coalesced updates it
-     * sets the number of parallel write-back slots an ACT shadows.
-     */
+    /** Subarrays per bank: a pure storage layout with inline updates;
+     * with queued/coalesced updates the parallel write-back slots an
+     * ACT shadows. */
     int subarrays = 64;
     /**
      * How ACT-driven PRAC counter updates commit physically:
@@ -134,28 +123,20 @@ struct ScenarioConfig
     int cuq_depth = 16;
 
     // --- observability (result-neutral, hash-excluded) -----------------
-    /**
-     * Event-trace category set (obs/obs.h): "off", "all" or a comma
-     * list of category names ("cmd,abo,rfm"). Like the engine keys,
-     * tracing never changes results — the key is hash-excluded and the
-     * trace itself is byte-identical across threads/pipeline/skip.
-     */
+    /** Event-trace category set (obs/obs.h). Like the engine keys,
+     * tracing never changes results, and the trace itself is
+     * byte-identical across threads/pipeline/skip. */
     std::string trace = "off";
-    /** Trace output path ("" = qprac_trace-<hash>.json beside the
-     * run; a ".csv" suffix selects the CSV exporter). */
-    std::string trace_out;
-    /** Metrics sampling period in cycles (0, spelled "off", disables
-     * the time-series sampler and latency histograms). */
+    std::string trace_out; ///< trace path ("" = qprac_trace-<hash>.json)
+    /** Metrics sampling period in cycles (0 disables the time-series
+     * sampler and latency histograms). */
     std::uint64_t metrics_interval = 0;
 
     // --- attack-family knobs -------------------------------------------
     /** Wave/Feinting starting pool size (attack:wave r1). */
     int r1 = 2000;
-    /**
-     * Cycle budget for the cycle-level attack families (attack:perf,
-     * attack:rfm-probe, attack:recovery-dos). 0 = family default,
-     * spelled "default" in configs.
-     */
+    /** Cycle budget for the cycle-level attack families (attack:perf,
+     * attack:rfm-probe, attack:recovery-dos); 0 = family default. */
     std::uint64_t attack_cycles = 0;
 
     /** Canonical key order (serialization and listings). */
@@ -206,6 +187,44 @@ struct ScenarioConfig
      */
     DesignSpec design() const;
 };
+
+/** How a scenario key enters the content hash (sim/scenario_hash.h). */
+enum class KeyHashClass
+{
+    Result,       ///< can change results: always hashed
+    Neutral,      ///< result-neutral (engine, observability): never hashed
+    UnlessInline, ///< hashed only when counter-update is not inline
+};
+
+/**
+ * How a key reads and writes its ScenarioConfig field: parse validates
+ * a value and stores its normalized form (false with the reason in
+ * *why, the config untouched); print gives the canonical form, which
+ * parse accepts back.
+ */
+struct ScenarioField
+{
+    std::function<bool(ScenarioConfig&, const std::string&, std::string*)>
+        parse;
+    std::function<std::string(const ScenarioConfig&)> print;
+};
+
+/** One scenario key, declared once: keys(), set(), get(), the hash
+ * lists and qprac_sim's legacy flags and --help all read the rows. */
+struct ScenarioKey
+{
+    const char* name;
+    KeyHashClass hash;
+    const char* flag; ///< legacy qprac_sim value flag, or nullptr
+    const char* doc;  ///< one line for --help
+    ScenarioField field;
+};
+
+/** Every scenario key, in canonical order. */
+const std::vector<ScenarioKey>& scenarioKeyTable();
+
+/** The row named @p name, or nullptr for an unknown key. */
+const ScenarioKey* findScenarioKey(const std::string& name);
 
 /** Per-core trace sources for a workload/trace scenario. */
 std::vector<std::unique_ptr<cpu::TraceSource>>
@@ -280,7 +299,8 @@ class ScenarioRegistry
     struct AttackOptions
     {
         /** Scenario keys the family's runner maps onto its config
-         * (printed by `qprac_sim --list-attacks`). */
+         * (printed by `qprac_sim --list-attacks`); each must be a
+         * scenarioKeyTable() key. */
         std::vector<std::string> keys;
         /** True when the family models multiple channels (validate()
          * rejects channels != 1 for single-channel event models). */
@@ -303,10 +323,6 @@ class ScenarioRegistry
 
     /** All registered named sources (workloads, then attacks). */
     std::vector<SourceInfo> sources() const;
-
-    /** Register (or replace) an attack family. */
-    void registerAttack(const std::string& name,
-                        const std::string& description, AttackRunner run);
 
     /** Register (or replace) an attack family with metadata. */
     void registerAttack(const std::string& name,

@@ -18,35 +18,22 @@ namespace qprac::sim {
 
 namespace {
 
-/** @p words joined by @p sep, broken into lines of at most 64 chars. */
-std::string
-wrappedList(const std::vector<std::string>& words, const char* sep)
-{
-    std::string out, line;
-    for (const auto& word : words) {
-        if (!line.empty() && line.size() + 1 + word.size() > 64) {
-            out += line + "\n";
-            line.clear();
-        } else if (!line.empty()) {
-            line += sep;
-        }
-        line += word;
-    }
-    return out + line;
-}
-
-/** The --help text; its key lists come from the key tables. */
+/** The --help text; its key table is the scenario-key table. */
 std::string
 usage()
 {
+    const ScenarioConfig defaults = qpracSimDefaults();
+    // The "hashed" column, indexed by KeyHashClass.
+    const char* const hashed[] = {"yes", "no", "unless inline"};
+    Table keys({"key", "flag", "default", "hashed", "meaning"});
+    for (const auto& row : scenarioKeyTable())
+        keys.addRow({row.name, row.flag ? row.flag : "",
+                     row.field.print(defaults),
+                     hashed[static_cast<int>(row.hash)], row.doc});
     return strCat(
-        "usage: qprac_sim [--workload NAME | --trace PATH] "
-        "[--mitigation NAME] [--backend NAME] [--psq-size N] "
-        "[--nbo N] [--nmit N] [--insts N] [--cores N] "
-        "[--channels N] [--ranks N] [--mapping NAME] [--seed N] "
-        "[--threads N|auto] [--recovery NAME] [--baseline] [--stats] "
-        "[--metrics] [--profile[=SECTIONS]] [--list] [--list-designs] "
-        "[--list-attacks]\n"
+        "usage: qprac_sim [--workload NAME | --trace PATH] [--FLAG VALUE]... "
+        "[--baseline] [--stats] [--metrics] [--profile[=SECTIONS]] "
+        "[--list] [--list-designs] [--list-attacks]\n"
         "                 [--config FILE] [--set key=value]... "
         "[--sweep key=values]... [--json] [--csv PATH]\n"
         "                 [--cache-dir PATH] [--isolate] "
@@ -54,33 +41,20 @@ usage()
         "\n"
         "Every run is a scenario: legacy flags and --set overrides apply\n"
         "in command-line order on top of --config FILE (an INI of\n"
-        "key = value lines). Keys:\n",
-        wrappedList(ScenarioConfig::keys(), " "), "\n",
-        "Sources: workload:NAME,\n"
-        "trace:PATH, attack:NAME (--list-attacks shows each family's\n"
-        "accepted keys). --recovery selects the ALERT_n blocking domain:\n"
-        "channel-stall (QPRAC ABO), bank-isolated (PRACtical-style) or\n"
-        "group-isolated.\n"
+        "key = value lines). --workload NAME and --trace PATH set source\n"
+        "(--trace wins when both are given); --baseline sets baseline=true.\n"
+        "The keys, their --FLAG VALUE forms, the defaults of this command\n"
+        "and whether the result-cache hash includes them:\n",
+        keys.toString(),
         "--sweep takes key=v1,v2 or key=lo:hi[:step] and runs the\n"
-        "cross-product. --threads is the total budget, shared between\n"
-        "sweep points and the per-channel shard engine; results are\n"
-        "bit-identical at every thread count. pipeline/skip (auto|on|off)\n"
-        "select the engine layers (pipelined main phase, next-event cycle\n"
-        "skipping; see sim/system.h).\n"
-        "Observability (result-neutral): trace=CATS enables cycle-stamped\n"
-        "event tracing (CATS is all|off or a +-separated category list:\n"
-        "cmd refresh abo rfm recovery psq cuq attack); trace-out=PATH names\n"
-        "the Perfetto JSON (default qprac_trace-<hash>.json);\n"
-        "metrics-interval=N samples time-series every N cycles. --metrics\n"
-        "prints the metrics report (and defaults metrics-interval to 10000\n"
-        "when unset). --profile prints post-run profiling sections; pass\n"
+        "cross-product. --metrics prints the metrics report (and defaults\n"
+        "metrics-interval to 10000 when unset).\n"
+        "--profile prints post-run profiling sections; pass\n"
         "--profile=engine,cache,wall to select a subset (--profile-engine\n"
         "is the historical alias for --profile=engine).\n"
         "--json / --csv emit structured results.\n"
-        "--cache-dir keeps one content-addressed JSON sidecar per point\n"
-        "(named by the scenario hash, which excludes result-neutral keys:\n",
-        wrappedList(scenarioHashExcludedKeys(), "/"), ");\n",
-        "reruns and resumed grids reuse hits\n"
+        "--cache-dir keeps one content-addressed JSON sidecar per point,\n"
+        "named by the scenario hash; reruns and resumed grids reuse hits\n"
         "byte-for-byte. --isolate forks one qprac_sim per sweep point so a\n"
         "crashing config becomes a recorded failed point instead of killing\n"
         "the grid. --hash (alias --dry-run) prints each resolved point's\n"
@@ -138,8 +112,8 @@ listAttacks()
         t.addRow({s.name, s.description, keys});
     }
     out += t.toString();
-    out += "\nEvery family also honours the shared run keys (seed, "
-           "threads);\nkeys not listed are ignored by that family.\n";
+    out += "\nAttack families ignore seed, threads and every key not "
+           "listed for them.\n";
     return out;
 }
 
@@ -612,12 +586,19 @@ hashReport(const SweepSpec& spec,
 
 } // namespace
 
+ScenarioConfig
+qpracSimDefaults()
+{
+    ScenarioConfig cfg;
+    cfg.insts = 400'000; // the CLI's historical default run length
+    return cfg;
+}
+
 int
 runQpracSimCli(const std::vector<std::string>& args, std::string* out,
                std::string* err)
 {
-    ScenarioConfig cfg;
-    cfg.insts = 400'000; // the CLI's historical default run length
+    ScenarioConfig cfg = qpracSimDefaults();
     // Overrides apply in command-line order, except that --workload and
     // --trace keep the legacy driver's fixed precedence (see below).
     enum class OpOrigin
@@ -663,19 +644,10 @@ runQpracSimCli(const std::vector<std::string>& args, std::string* out,
             return true;
         };
         // Legacy value flags that map 1:1 onto a scenario key.
-        static const std::pair<const char*, const char*> kFlagKeys[] = {
-            {"--mitigation", "mitigation"}, {"--backend", "backend"},
-            {"--psq-size", "psq_size"},     {"--nbo", "nbo"},
-            {"--nmit", "nmit"},             {"--insts", "insts"},
-            {"--cores", "cores"},           {"--channels", "channels"},
-            {"--ranks", "ranks"},           {"--mapping", "mapping"},
-            {"--seed", "seed"},             {"--threads", "threads"},
-            {"--recovery", "recovery"},
-        };
         const char* mapped_key = nullptr;
-        for (const auto& [flag, key] : kFlagKeys)
-            if (arg == flag)
-                mapped_key = key;
+        for (const auto& row : scenarioKeyTable())
+            if (row.flag && arg == row.flag)
+                mapped_key = row.name;
         std::string v;
         if (mapped_key) {
             if (!need(arg.c_str(), &v))

@@ -19,6 +19,11 @@
 
 namespace qprac::sim {
 
+struct ScenarioConfig; // sim/scenario.h
+
+/** The scenario qprac_sim starts from (--help prints it as defaults). */
+ScenarioConfig qpracSimDefaults();
+
 /**
  * Run the qprac_sim CLI over @p args (argv[1..]); appends stdout text
  * to *out and stderr text to *err. Returns the process exit status

@@ -1,6 +1,5 @@
 #include "sim/scenario_hash.h"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace qprac::sim {
@@ -9,32 +8,40 @@ namespace {
 
 /**
  * Bumping this tag re-keys the whole cache; see the header contract.
- * v1: all ScenarioConfig keys except threads/pipeline/skip and the
- * observability keys (trace/trace-out/metrics-interval), plus a fixed
- * `corepar=off` line after attack_cycles. (Excluded keys are never
- * serialized, so adding or removing one changes no canonical key and
- * needs no tag bump.) The counter-architecture keys (subarrays,
- * counter-update, cuq_depth) serialize only when counter-update is not
- * inline: with inline updates they cannot affect any result, and
- * omitting them keeps every pre-subarray cache entry and golden hash
- * valid without a tag bump.
+ * v1: the Result keys in table order, a fixed `corepar=off` line, then
+ * the UnlessInline keys when counter-update is not inline. (Neutral
+ * keys are never serialized, so adding or removing one changes no
+ * canonical key and needs no tag bump.)
  */
 constexpr const char* kFormatTag = "qprac-scenario-v1";
 
-/** Keys serialized only when the config leaves the inline default. */
-bool
-isCounterArchKey(const std::string& key)
+std::vector<std::string>
+keysWhere(bool hashed)
 {
-    return key == "subarrays" || key == "counter-update" ||
-           key == "cuq_depth";
+    std::vector<std::string> out;
+    for (const auto& row : scenarioKeyTable())
+        if ((row.hash != KeyHashClass::Neutral) == hashed)
+            out.push_back(row.name);
+    return out;
 }
 
-bool
-isExcluded(const std::string& key)
+/**
+ * @p cfg with each zero that experiment() resolves through QPRAC_INSTS,
+ * QPRAC_LLC_MB or QPRAC_SEED replaced by the resolved value when the
+ * environment moves it off the built-in default, so runs under
+ * different environments never share a cache entry.
+ */
+ScenarioConfig
+withEnvironmentDefaults(ScenarioConfig cfg)
 {
-    const auto& excluded = scenarioHashExcludedKeys();
-    return std::find(excluded.begin(), excluded.end(), key) !=
-           excluded.end();
+    using E = ExperimentConfig;
+    if (!cfg.insts && E::defaultInstsPerCore() != E::kBuiltinInstsPerCore)
+        cfg.insts = E::defaultInstsPerCore();
+    if (!cfg.llc_mb && E::defaultLlcMb() != E::kBuiltinLlcMb)
+        cfg.llc_mb = E::defaultLlcMb();
+    if (!cfg.seed)
+        cfg.seed = E::defaultSeed(); // the built-in seed is 0
+    return cfg;
 }
 
 } // namespace
@@ -42,42 +49,38 @@ isExcluded(const std::string& key)
 const std::vector<std::string>&
 scenarioHashedKeys()
 {
-    static const std::vector<std::string> keys = [] {
-        std::vector<std::string> out;
-        for (const auto& key : ScenarioConfig::keys())
-            if (!isExcluded(key))
-                out.push_back(key);
-        return out;
-    }();
+    static const std::vector<std::string> keys = keysWhere(true);
     return keys;
 }
 
 const std::vector<std::string>&
 scenarioHashExcludedKeys()
 {
-    static const std::vector<std::string> keys = {
-        "threads", "pipeline",  "skip",
-        "trace",   "trace-out", "metrics-interval"};
+    static const std::vector<std::string> keys = keysWhere(false);
     return keys;
 }
 
 std::string
 scenarioCanonicalKey(const ScenarioConfig& cfg)
 {
+    const ScenarioConfig resolved = withEnvironmentDefaults(cfg);
     std::string out = kFormatTag;
     out += '\n';
-    const bool inline_updates = cfg.counter_update == "inline";
-    for (const auto& key : scenarioHashedKeys()) {
-        if (inline_updates && isCounterArchKey(key))
-            continue;
-        out += key;
-        out += '=';
-        out += cfg.get(key);
-        out += '\n';
-        // The retired corepar key's line keeps old hashes and sidecars valid.
-        if (key == "attack_cycles")
-            out += "corepar=off\n";
-    }
+    auto append = [&](KeyHashClass hash) {
+        for (const auto& row : scenarioKeyTable()) {
+            if (row.hash != hash)
+                continue;
+            out += row.name;
+            out += '=';
+            out += row.field.print(resolved);
+            out += '\n';
+        }
+    };
+    append(KeyHashClass::Result);
+    // The retired corepar key's line keeps old hashes and sidecars valid.
+    out += "corepar=off\n";
+    if (cfg.counter_update != "inline")
+        append(KeyHashClass::UnlessInline);
     return out;
 }
 

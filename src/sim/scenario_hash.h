@@ -5,27 +5,24 @@
  *
  * A scenario's hash is a 64-bit FNV-1a over its canonical key=value
  * serialization (the same canonical forms the INI round-trip pins),
- * restricted to the keys that can change simulation *results*:
+ * restricted to the keys that can change simulation *results*. Each
+ * key's hash class is declared in its scenarioKeyTable() row:
  *
- *  - `threads`, `pipeline` and `skip` are excluded. The
- *    engine guarantees (and the determinism suite pins) that thread
- *    counts, the v1/v2 schedule choice and cycle skipping are
- *    bit-identical, so a result computed at threads=4 with the
- *    pipelined skipping engine is the same result at threads=1 on the
- *    dense alternating engine.
- *  - `trace`, `trace-out` and `metrics-interval` are excluded. The
- *    observability layer (src/obs) records at state-change points and
- *    never perturbs simulation state, so a traced run's result is the
- *    untraced run's result.
- *  - A fixed `corepar=off` line follows `attack_cycles`. It is not a
+ *  - Neutral keys are excluded: the engine keys (the determinism suite
+ *    pins thread counts, the v1/v2 schedule and cycle skipping as
+ *    bit-identical) and the observability keys (src/obs records at
+ *    state-change points and never perturbs simulation state).
+ *  - UnlessInline keys (the counter architecture) serialize only when
+ *    `counter-update` is not `inline`: inline updates make them
+ *    result-neutral storage layout, and omitting them keeps every
+ *    pre-subarray cache entry valid.
+ *  - A fixed `corepar=off` line follows the Result keys. It is not a
  *    key: the threaded-core engine it named is gone, and the line stays
  *    so every existing hash and cache sidecar keeps its value.
- *  - The counter-architecture keys (`subarrays`, `counter-update`,
- *    `cuq_depth`) are hashed, but serialize only when `counter-update`
- *    is not `inline`: inline updates make them result-neutral storage
- *    layout, and omitting them keeps every pre-subarray cache entry
- *    valid (an inline config hashes exactly as it did before the keys
- *    existed).
+ *  - `insts=default`, `llc_mb=0` and `seed=0` resolve through
+ *    QPRAC_INSTS, QPRAC_LLC_MB and QPRAC_SEED at run time. When one of
+ *    them moves the value off its built-in default, the key carries
+ *    the resolved value instead.
  *  - Timing observations (SweepPointResult::wall_ms /
  *    sim_cycles_per_sec) are outputs, not config, and never reach the
  *    hash or the cached result document.
@@ -47,15 +44,16 @@
 
 namespace qprac::sim {
 
-/** ScenarioConfig::keys() minus the result-neutral engine keys. */
+/** ScenarioConfig::keys() minus the Neutral ones. */
 const std::vector<std::string>& scenarioHashedKeys();
 
-/** The excluded (result-neutral) keys, for listings. */
+/** The Neutral (never hashed) keys. */
 const std::vector<std::string>& scenarioHashExcludedKeys();
 
 /**
  * The exact byte string the hash runs over: a format tag line followed
- * by one `key=value` line per hashed key in canonical order. Stored
+ * by one `key=value` line per hashed key in canonical order (see the
+ * file comment for the corepar line and the inline skip). Stored
  * verbatim in cache sidecars as the collision/staleness guard (two
  * configs with equal hashes but different canonical keys never alias).
  */

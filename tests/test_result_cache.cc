@@ -107,6 +107,44 @@ TEST(ResultCache, StoreThenLookupIsByteIdentical)
     EXPECT_EQ(c.stored, 1u);
 }
 
+TEST(ResultCache, EnvironmentResolvedDefaultsNeverAlias)
+{
+    // insts=default, llc_mb=0 and seed=0 resolve through QPRAC_INSTS,
+    // QPRAC_LLC_MB and QPRAC_SEED when the run starts, so a result
+    // computed under one environment must not serve a run under
+    // another.
+    for (const char* var : {"QPRAC_INSTS", "QPRAC_LLC_MB", "QPRAC_SEED"})
+        unsetenv(var);
+    ScenarioConfig cfg = smallConfig();
+    std::string err;
+    ASSERT_TRUE(cfg.set("insts", "default", &err)) << err;
+    const std::string plain = qprac::sim::scenarioCanonicalKey(cfg);
+    ResultCache cache(freshDir("environment"));
+
+    setenv("QPRAC_INSTS", "2000", 1);
+    const ScenarioResult fresh = runScenario(cfg);
+    cache.store(cfg, fresh);
+    ScenarioResult hit;
+    setenv("QPRAC_INSTS", "3000", 1);
+    EXPECT_FALSE(cache.lookup(cfg, &hit));
+    setenv("QPRAC_INSTS", "2000", 1);
+    ASSERT_TRUE(cache.lookup(cfg, &hit));
+    EXPECT_EQ(hit.resultJson(), fresh.resultJson());
+    // The resolved run is the explicit one, so they share the entry.
+    EXPECT_TRUE(cache.lookup(smallConfig(), &hit));
+
+    // Each variable moves the key only off its built-in default.
+    setenv("QPRAC_INSTS", "300000", 1);
+    EXPECT_EQ(qprac::sim::scenarioCanonicalKey(cfg), plain);
+    unsetenv("QPRAC_INSTS");
+    for (const char* var : {"QPRAC_LLC_MB", "QPRAC_SEED"}) {
+        setenv(var, "4", 1);
+        EXPECT_NE(qprac::sim::scenarioCanonicalKey(cfg), plain) << var;
+        unsetenv(var);
+    }
+    EXPECT_EQ(qprac::sim::scenarioCanonicalKey(cfg), plain);
+}
+
 TEST(ResultCache, AttackResultRoundTrips)
 {
     ResultCache cache(freshDir("attack"));

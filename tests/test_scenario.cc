@@ -7,6 +7,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 #include "common/json.h"
@@ -123,14 +124,45 @@ TEST(ScenarioConfigTest, SetRejectsUnknownKeysAndBadValues)
     std::string err;
     EXPECT_FALSE(cfg.set("no_such_key", "1", &err));
     EXPECT_NE(err.find("unknown config key"), std::string::npos);
-    EXPECT_FALSE(cfg.set("insts", "12abc", &err));
-    EXPECT_FALSE(cfg.set("psq_size", "-3", &err));
-    EXPECT_FALSE(cfg.set("channels", "3", &err)); // not a power of two
-    EXPECT_FALSE(cfg.set("mapping", "diagonal", &err));
-    EXPECT_FALSE(cfg.set("mitigation", "no-such-design", &err));
-    EXPECT_FALSE(cfg.set("backend", "quantum", &err));
     EXPECT_FALSE(cfg.set("source", "workload:not-a-workload", &err));
-    EXPECT_FALSE(cfg.set("source", "attack:not-an-attack", &err));
+    // One invalid value per key; trace-out takes any path.
+    const std::vector<std::pair<std::string, std::string>> bad = {
+        {"source", "attack:not-an-attack"},
+        {"mitigation", "no-such-design"},
+        {"backend", "quantum"},
+        {"psq_size", "-3"},
+        {"nbo", "0"},
+        {"nmit", "65"},
+        {"recovery", "rank-isolated"},
+        {"channels", "3"}, // not a power of two
+        {"ranks", "128"},
+        {"mapping", "diagonal"},
+        {"insts", "12abc"},
+        {"cores", "0"},
+        {"seed", "-1"},
+        {"llc_mb", "16385"},
+        {"threads", "many"},
+        {"baseline", "maybe"},
+        {"r1", "0"},
+        {"attack_cycles", "0"},
+        {"pipeline", "sometimes"},
+        {"skip", "2x"},
+        {"subarrays", "96"},
+        {"counter-update", "lazy"},
+        {"cuq_depth", "0"},
+        {"trace", "cmd+abo"}, // categories are comma-separated
+        {"metrics-interval", "0"},
+    };
+    std::vector<std::string> covered = {"trace-out"};
+    for (const auto& [key, value] : bad) {
+        EXPECT_FALSE(cfg.set(key, value, &err)) << key << "=" << value;
+        EXPECT_EQ(err.rfind(key + "='" + value + "': ", 0), 0u) << err;
+        covered.push_back(key);
+    }
+    std::vector<std::string> all = ScenarioConfig::keys();
+    std::sort(covered.begin(), covered.end());
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(covered, all);
     // Nothing above may have mutated the config.
     EXPECT_EQ(cfg.toIni(), ScenarioConfig().toIni());
 }
@@ -156,18 +188,44 @@ TEST(ScenarioConfigTest, SetNormalizesSourcesAndMappings)
 
 TEST(ScenarioConfigTest, RoundTripIsIdentity)
 {
+    // Every key, each set away from its default.
+    const std::vector<std::pair<std::string, std::string>> sets = {
+        {"source", "attack:perf"},
+        {"mitigation", "qprac@heap"},
+        {"backend", "coalescing"},
+        {"psq_size", "7"},
+        {"nbo", "64"},
+        {"nmit", "2"},
+        {"recovery", "bank-isolated"},
+        {"channels", "2"},
+        {"ranks", "4"},
+        {"mapping", "channel-striped"},
+        {"insts", "123456"},
+        {"cores", "8"},
+        {"seed", "999"},
+        {"llc_mb", "8"},
+        {"threads", "3"},
+        {"baseline", "yes"},
+        {"r1", "1234"},
+        {"attack_cycles", "5000"},
+        {"pipeline", "off"},
+        {"skip", "on"},
+        {"subarrays", "128"},
+        {"counter-update", "queued"},
+        {"cuq_depth", "4"},
+        {"trace", "abo,cmd"},
+        {"trace-out", "out.csv"},
+        {"metrics-interval", "500"},
+    };
     ScenarioConfig cfg;
     std::string err;
-    ASSERT_TRUE(cfg.set("source", "attack:perf", &err)) << err;
-    ASSERT_TRUE(cfg.set("mitigation", "qprac@heap", &err)) << err;
-    ASSERT_TRUE(cfg.set("backend", "coalescing", &err)) << err;
-    ASSERT_TRUE(cfg.set("psq_size", "7", &err)) << err;
-    ASSERT_TRUE(cfg.set("nbo", "64", &err)) << err;
-    ASSERT_TRUE(cfg.set("nmit", "2", &err)) << err;
-    ASSERT_TRUE(cfg.set("insts", "123456", &err)) << err;
-    ASSERT_TRUE(cfg.set("cores", "8", &err)) << err;
-    ASSERT_TRUE(cfg.set("seed", "999", &err)) << err;
-    ASSERT_TRUE(cfg.set("baseline", "yes", &err)) << err;
+    std::vector<std::string> covered;
+    for (const auto& [key, value] : sets) {
+        ASSERT_TRUE(cfg.set(key, value, &err)) << err;
+        EXPECT_NE(cfg.get(key), ScenarioConfig().get(key)) << key;
+        covered.push_back(key);
+    }
+    EXPECT_EQ(covered, ScenarioConfig::keys());
 
     std::string ini = cfg.toIni();
     ScenarioConfig reparsed;

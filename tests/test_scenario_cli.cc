@@ -7,11 +7,11 @@
  */
 #include <gtest/gtest.h>
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "common/json.h"
 #include "sim/scenario.h"
@@ -227,27 +227,57 @@ TEST(QpracSimCli, RejectsGarbageNumbersLoudly)
 
 TEST(QpracSimCli, HelpNamesEveryScenarioKey)
 {
-    // The key lists in --help come from the key tables, so every key
-    // is named and the retired engine keys are not.
+    // --help prints the key table: one row per key in canonical order,
+    // with its legacy flag, the CLI's default and its hash class.
     const std::string help = run({"--help"});
-    auto isKeyChar = [](char c) {
-        return std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-               c == '-';
+    std::vector<std::string> lines;
+    for (std::size_t at = 0, nl; at < help.size(); at = nl + 1) {
+        nl = help.find('\n', at);
+        if (nl == std::string::npos)
+            nl = help.size();
+        lines.push_back(help.substr(at, nl - at));
+    }
+    std::size_t header = 0;
+    while (header < lines.size() &&
+           (lines[header].rfind("key ", 0) != 0 ||
+            lines[header].find(" hashed ") == std::string::npos))
+        ++header;
+    ASSERT_LT(header, lines.size()) << help;
+    const std::string& head = lines[header];
+    const std::size_t flag_at = head.find(" flag ") + 1;
+    const std::size_t default_at = head.find(" default ") + 1;
+    const std::size_t hashed_at = head.find(" hashed ") + 1;
+    const std::size_t meaning_at = head.find(" meaning") + 1;
+    auto cell = [](const std::string& line, std::size_t from,
+                   std::size_t to) {
+        std::string c = line.substr(from, to - from);
+        c.erase(c.find_last_not_of(' ') + 1);
+        return c;
     };
-    // A whole-word match, so "r1" or "trace" cannot hide inside
-    // another word.
-    auto namesWord = [&](const std::string& word) {
-        for (auto at = help.find(word); at != std::string::npos;
-             at = help.find(word, at + 1)) {
-            const auto end = at + word.size();
-            if ((at == 0 || !isKeyChar(help[at - 1])) &&
-                (end == help.size() || !isKeyChar(help[end])))
-                return true;
-        }
-        return false;
-    };
-    for (const auto& key : qprac::sim::ScenarioConfig::keys())
-        EXPECT_TRUE(namesWord(key)) << key << " missing from:\n" << help;
+    using qprac::sim::KeyHashClass;
+    const std::map<KeyHashClass, std::string> kHashed = {
+        {KeyHashClass::Result, "yes"},
+        {KeyHashClass::Neutral, "no"},
+        {KeyHashClass::UnlessInline, "unless inline"}};
+    const qprac::sim::ScenarioConfig defaults =
+        qprac::sim::qpracSimDefaults();
+    EXPECT_EQ(defaults.get("insts"), "400000");
+    const auto& table = qprac::sim::scenarioKeyTable();
+    ASSERT_GE(lines.size(), header + 2 + table.size());
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        const auto& key = table[i];
+        const std::string& line = lines[header + 2 + i];
+        EXPECT_EQ(cell(line, 0, flag_at), key.name) << line;
+        EXPECT_EQ(cell(line, flag_at, default_at),
+                  key.flag ? key.flag : "")
+            << line;
+        EXPECT_EQ(cell(line, default_at, hashed_at),
+                  defaults.get(key.name))
+            << line;
+        EXPECT_EQ(cell(line, hashed_at, meaning_at),
+                  kHashed.at(key.hash))
+            << line;
+    }
     EXPECT_EQ(help.find("corepar"), std::string::npos) << help;
     EXPECT_EQ(help.find("steal"), std::string::npos) << help;
 }

@@ -112,22 +112,22 @@ TEST(ScenarioHash, ResultBearingKeysEachMoveTheHash)
             << change.first << " did not move the hash";
 }
 
-namespace {
-
-bool
-isCounterArchKey(const std::string& key)
-{
-    return key == "subarrays" || key == "counter-update" ||
-           key == "cuq_depth";
-}
-
-} // namespace
-
 TEST(ScenarioHash, CanonicalKeyShape)
 {
     // The counter-architecture keys serialize only when counter-update
     // leaves the inline default (they are result-neutral layout
     // otherwise); every other hashed key always appears.
+    std::vector<std::string> unless_inline;
+    for (const auto& row : qprac::sim::scenarioKeyTable())
+        if (row.hash == qprac::sim::KeyHashClass::UnlessInline)
+            unless_inline.push_back(row.name);
+    EXPECT_EQ(unless_inline, (std::vector<std::string>{
+                                 "subarrays", "counter-update",
+                                 "cuq_depth"}));
+    auto unlessInline = [&](const std::string& name) {
+        return std::find(unless_inline.begin(), unless_inline.end(),
+                         name) != unless_inline.end();
+    };
     const std::string key = scenarioCanonicalKey(ScenarioConfig{});
     EXPECT_EQ(key.rfind("qprac-scenario-v1\n", 0), 0u) << key;
     // The retired corepar key keeps its fixed line, so existing hashes
@@ -136,7 +136,7 @@ TEST(ScenarioHash, CanonicalKeyShape)
               std::string::npos)
         << key;
     for (const auto& hashed : scenarioHashedKeys()) {
-        if (isCounterArchKey(hashed)) {
+        if (unlessInline(hashed)) {
             EXPECT_EQ(key.find("\n" + hashed + "="), std::string::npos)
                 << hashed << " leaked into an inline config:\n" << key;
             continue;

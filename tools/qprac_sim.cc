@@ -8,45 +8,10 @@
  * all funnel into the same ScenarioConfig; results come back through
  * the structured emission layer (tables, `--json`, `--csv`).
  *
- *   qprac_sim [options]
- *     --workload NAME      synthetic workload (default 429.mcf); see
- *                          --list for all 57
- *     --trace PATH         trace file instead of a synthetic workload
- *                          ("<bubbles> <load_addr> [<store_addr>]")
- *     --mitigation NAME    any registry design name, optionally with a
- *                          QPRAC backend suffix, e.g. qprac@heap
- *                          (default qprac+proactive-ea); see
- *                          --list-designs
- *     --backend NAME       QPRAC service-queue backend: linear | heap |
- *                          coalescing (default linear)
- *     --psq-size N         PSQ entries per bank (default 5)
- *     --nbo N              Back-Off threshold (default 32)
- *     --nmit N             RFMs per alert, 1/2/4 (default 1)
- *     --insts N            instructions per core (default 400000)
- *     --cores N            number of cores (default 4)
- *     --channels N         independent DRAM channels (default 1)
- *     --ranks N            ranks per channel (default 2)
- *     --mapping NAME       row-major | bank-striped | channel-striped
- *     --seed N             extra trace-RNG seed (default 0)
- *     --baseline           also run the insecure baseline
- *     --stats              dump the full stat set
- *     --config FILE        load a scenario config file first
- *     --set key=value      override any scenario key (repeatable)
- *     --sweep key=values   sweep axis, v1,v2 or lo:hi[:step] (repeatable)
- *     --json               emit the structured JSON document
- *     --csv PATH           write structured CSV rows to PATH (the file
- *                          is rewritten each run)
- *     --cache-dir PATH     content-addressed result cache: one JSON
- *                          sidecar per point named by the scenario
- *                          hash; hits are byte-identical to fresh runs
- *                          and interrupted grids resume for free
- *     --isolate            fork one qprac_sim per sweep point so a
- *                          crashing config records a failed point
- *                          instead of killing the grid
- *     --hash | --dry-run   print each resolved point's canonical hash
- *                          and cache status without simulating
- *     --list               list workloads, mitigations and attacks
- *     --list-designs       list registry designs with descriptions
+ * `qprac_sim --help` lists every option and generates the scenario-key
+ * table (key, legacy flag, default, hash class, meaning) from
+ * sim/scenario.cc; `--list-attacks` lists the attack families and the
+ * keys each one reads.
  */
 #include <cstdio>
 #include <string>
