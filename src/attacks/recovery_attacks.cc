@@ -37,6 +37,7 @@ class RecoveryDriver
                       cfg.attack_banks <= cfg.org.banksPerRank(),
                   "attack_banks out of range");
         attacker_.resize(static_cast<std::size_t>(cfg.attack_banks));
+        mem_.setCycleSkipping(cfg.skip);
         if (cfg.recorder) {
             mem_.setEventRecorder(cfg.recorder);
             driver_sink_ = cfg.recorder->driverSink();
@@ -187,6 +188,7 @@ runRfmProbeAttack(const RecoveryAttackConfig& cfg)
     r.alerts = drv.memory().alerts();
     r.rfms = drv.memory().ctrlStats().rfms;
     r.attacker_acts = drv.attackerActs();
+    r.skip = drv.memory().skipStats();
     return r;
 }
 
@@ -221,6 +223,7 @@ runRecoveryDosAttack(const RecoveryAttackConfig& cfg)
     r.alerts = drv.memory().alerts();
     r.rfms = drv.memory().ctrlStats().rfms;
     r.attacker_acts = drv.attackerActs();
+    r.skip = drv.memory().skipStats();
     if (const ctrl::BankRecoveryEngine* engine =
             drv.memory().controller(0).abo().bankRecovery())
         r.peak_concurrent_recoveries = engine->peakConcurrent();

@@ -8,7 +8,9 @@
  * Both drivers run a real N-channel ctrl::MemorySystem (controllers,
  * devices, per-channel mitigation instances) on the serial tick path —
  * no cores, no LLC, no RNG — so results are deterministic and
- * independent of any thread budget.
+ * independent of any thread budget. The drivers call tick every cycle;
+ * with cycle skipping on (the default) a shard sleeps through the
+ * cycles its event horizon proves idle, byte-identical to dense ticks.
  *
  *  - rfm-probe: the attacker hammers one bank of channel 0 into
  *    repeated recoveries while a victim paces latency probes at a
@@ -63,6 +65,10 @@ struct RecoveryAttackConfig
      * their event lanes; victim probe completions land on the driver
      * lane as `attack` events. Result-neutral. */
     obs::EventRecorder* recorder = nullptr;
+
+    /** Next-event cycle skipping on the serial tick path (the scenario
+     * `skip` key; false = the dense reference). Result-neutral. */
+    bool skip = true;
 };
 
 /** Latency accumulator for one victim probe target and phase. */
@@ -87,6 +93,7 @@ struct RfmProbeResult
     std::uint64_t attacker_acts = 0;
     ProbeStats near_quiet, near_attack; ///< co-located victim bank
     ProbeStats far_quiet, far_attack;   ///< isolated victim bank
+    ctrl::SkipStats skip; ///< engine counters, not part of the result
 
     /** Attacker-induced latency on the co-located bank (cycles). */
     double nearExcess() const
@@ -112,6 +119,7 @@ struct RecoveryDosResult
     std::uint64_t attacker_acts = 0;
     int peak_concurrent_recoveries = 0; ///< overlap (0 = channel-stall)
     ProbeStats victim_quiet, victim_attack;
+    ctrl::SkipStats skip; ///< engine counters, not part of the result
 
     /** Victim latency inflation under the alert storm (ratio). */
     double victimSlowdown() const

@@ -124,6 +124,20 @@ MemoryController::processCompletions(Cycle now)
 }
 
 bool
+MemoryController::bankDemand() const
+{
+    if (bank_rfms_pending_ > 0 || abo_.quiesceSince() != kNeverCycle)
+        return true;
+    const BankRecoveryEngine* engine = abo_.bankRecovery();
+    if (engine && !engine->idle())
+        return true;
+    for (int r = 0; r < dev_.organization().ranks; ++r)
+        if (refresh_.refPending(r))
+            return true;
+    return false;
+}
+
+bool
 MemoryController::issueQuiescePre(Cycle now)
 {
     // Precharge open banks demanded by ABO quiesce or a pending REF —
@@ -131,6 +145,8 @@ MemoryController::issueQuiescePre(Cycle now)
     // drain first (they can still issue while quiescing). Closing their
     // row would starve them behind the next quiesce and livelock under
     // dense RFM pacing; ignoring later arrivals keeps the drain bounded.
+    if (!bankDemand())
+        return false;
     auto pending_old_hit = [&](int bank, int row, Cycle since) {
         for (int i = 0; i < reads_.size(); ++i) {
             const Request& r = reads_.at(i);
@@ -228,12 +244,27 @@ MemoryController::noteActForPolicy(int flat_bank, Cycle now)
                 static_cast<std::uint32_t>(policy.acts_per_rfm) &&
             !bank_rfm_pending_[b]) {
             bank_policy_acts_[b] = 0;
-            bank_rfm_pending_[b] = 1;
-            bank_rfm_since_[b] = now;
+            setBankRfmPending(flat_bank, now);
         }
     } else {
         ++acts_since_policy_rfm_;
     }
+}
+
+void
+MemoryController::setBankRfmPending(int flat_bank, Cycle now)
+{
+    const auto b = static_cast<std::size_t>(flat_bank);
+    bank_rfm_pending_[b] = 1;
+    bank_rfm_since_[b] = now;
+    ++bank_rfms_pending_;
+}
+
+void
+MemoryController::clearBankRfmPending(int flat_bank)
+{
+    bank_rfm_pending_[static_cast<std::size_t>(flat_bank)] = 0;
+    --bank_rfms_pending_;
 }
 
 bool
@@ -242,6 +273,8 @@ MemoryController::servicePerBankRfms(Cycle now)
     // Issue pending per-bank RFMs once every bank the configured scope
     // covers has drained; PerBank/SameBank leave the rest of the
     // channel running (DDR5 RAA semantics).
+    if (bank_rfms_pending_ == 0)
+        return false;
     const dram::RfmScope scope = cfg_.rfm_policy.scope;
     auto coverage_idle = [&](int target) {
         for (int i = 0; i < dev_.numBanks(); ++i) {
@@ -269,7 +302,7 @@ MemoryController::servicePerBankRfms(Cycle now)
             continue;
         if (coverage_idle(b)) {
             dev_.issueRfm(scope, b, now);
-            bank_rfm_pending_[static_cast<std::size_t>(b)] = 0;
+            clearBankRfmPending(b);
             ++per_bank_policy_rfms_;
             return true;
         }
@@ -397,7 +430,9 @@ MemoryController::nextEventAt(Cycle now, WakeSource* why) const
     // Quiesce PREs: an open bank under quiesce demand precharges once
     // its PRE window expires. (The pending-old-hit carve-out can only
     // delay the PRE behind row-hit CASes, which are wakes themselves.)
-    for (int b = 0; b < dev_.numBanks(); ++b) {
+    // No bank has demand on most ticks: then the sweep is skipped.
+    const bool demand_any = bankDemand();
+    for (int b = 0; demand_any && b < dev_.numBanks(); ++b) {
         if (!dev_.bank(b).isOpen())
             continue;
         const bool demand =
@@ -409,7 +444,7 @@ MemoryController::nextEventAt(Cycle now, WakeSource* why) const
     }
 
     // Pending per-bank policy RFMs fire when their coverage drains.
-    for (int b = 0; b < dev_.numBanks(); ++b) {
+    for (int b = 0; bank_rfms_pending_ > 0 && b < dev_.numBanks(); ++b) {
         if (!bank_rfm_pending_[static_cast<std::size_t>(b)])
             continue;
         const dram::RfmScope scope = cfg_.rfm_policy.scope;

@@ -49,7 +49,8 @@ enum class WakeSource
     Recovery,      ///< an ABO / per-bank recovery machine transition
     CuqDrain,      ///< counter-update-queue work (lazy: never fires, see
                    ///< MemoryController::nextEventAt)
-    Mailbox,       ///< a staged submit becomes eligible for ingest
+    Mailbox,       ///< a staged submit becomes eligible for ingest,
+                   ///< or a direct enqueue arrived (serial path)
     EpochBoundary, ///< the shard window ended before the horizon
 };
 
@@ -174,6 +175,17 @@ class MemoryController
     void maybeTriggerPolicyRfm();
     void noteActForPolicy(int flat_bank, Cycle now);
     bool servicePerBankRfms(Cycle now);
+    void setBankRfmPending(int flat_bank, Cycle now);
+    void clearBankRfmPending(int flat_bank);
+
+    /**
+     * True when some bank may be under quiesce, REF or per-bank-RFM
+     * demand: a channel-wide quiesce, a per-bank recovery in flight, a
+     * pending REF on any rank, or a pending per-bank policy RFM. O(ranks)
+     * from held state; when false, the per-bank demand sweeps in tick()
+     * and nextEventAt() would find nothing and are skipped.
+     */
+    bool bankDemand() const;
 
     dram::DramDevice& dev_;
     ControllerConfig cfg_;
@@ -192,6 +204,9 @@ class MemoryController
     std::vector<std::uint32_t> bank_policy_acts_; ///< per-bank RAA counters
     std::vector<char> bank_rfm_pending_;
     std::vector<Cycle> bank_rfm_since_;
+    /** Number of set bank_rfm_pending_ entries (changed only by
+     * setBankRfmPending / clearBankRfmPending). */
+    int bank_rfms_pending_ = 0;
     /** Per-rank REF gate handed to the scheduler by pointer; sized once
      * here and refreshed in place so the per-tick constraint build
      * never touches the heap. */

@@ -126,21 +126,23 @@ MemorySystem::enqueueRead(Addr addr, const dram::DecodedAddr& dec,
                           std::function<void(Cycle)> on_complete,
                           Cycle now)
 {
-    // Direct enqueues bypass the mailboxes, so the persisted horizon
-    // no longer bounds the next event: tick densely until recomputed.
-    shard(dec.channel).wake_at = 0;
-    return shard(dec.channel)
-        .controller->enqueueRead(addr, dec, source, std::move(on_complete),
-                                 now);
+    Shard& s = shard(dec.channel);
+    if (!s.controller->enqueueRead(addr, dec, source, std::move(on_complete),
+                                   now))
+        return false;
+    s.wake();
+    return true;
 }
 
 bool
 MemorySystem::enqueueWrite(Addr addr, const dram::DecodedAddr& dec,
                            int source, Cycle now)
 {
-    shard(dec.channel).wake_at = 0;
-    return shard(dec.channel).controller->enqueueWrite(addr, dec, source,
-                                                       now);
+    Shard& s = shard(dec.channel);
+    if (!s.controller->enqueueWrite(addr, dec, source, now))
+        return false;
+    s.wake();
+    return true;
 }
 
 bool
@@ -285,14 +287,19 @@ MemorySystem::deliverCompletions(Cycle now)
 }
 
 Cycle
-MemorySystem::mailboxWakeAt(Shard& s) const
+MemorySystem::nextWake(Shard& s, WakeSource* why) const
 {
     Cycle at = kNeverCycle;
     if (SubmitMsg* m = s.write_in->peek())
         at = std::min(at, m->stamp + 1);
     if (SubmitMsg* m = s.read_in->peek())
         at = std::min(at, m->stamp + 1);
-    return at;
+    if (at < s.wake_at) {
+        *why = WakeSource::Mailbox;
+        return at;
+    }
+    *why = s.wake_why;
+    return s.wake_at;
 }
 
 void
@@ -318,13 +325,8 @@ MemorySystem::runShard(int channel, Cycle begin, Cycle end,
     // horizon contract, not before wake_at — so the skipped cycles are
     // exactly the ticks dense execution would have spent doing nothing.
     for (Cycle u = begin; u < end;) {
-        Cycle wake = s.wake_at;
-        WakeSource why = s.wake_why;
-        Cycle mb = mailboxWakeAt(s);
-        if (mb < wake) {
-            wake = mb;
-            why = WakeSource::Mailbox;
-        }
+        WakeSource why = WakeSource::CommandReady;
+        const Cycle wake = nextWake(s, &why);
         if (wake > u) {
             Cycle to = std::min(wake, end);
             s.skip.cycles_skipped += to - u;
@@ -378,9 +380,29 @@ MemorySystem::tick(Cycle now)
     syncSubmitMailboxes();
     deliverCompletions(now);
     for (auto& s : shards_) {
+        if (skip_) {
+            // runShard's horizon, one cycle at a time: the caller's
+            // only inputs are direct enqueues (they reset wake_at) and
+            // staged submits (their heads clamp it), so a shard whose
+            // wake lies in the future has nothing to do this cycle.
+            WakeSource why = WakeSource::CommandReady;
+            if (nextWake(s, &why) > now) {
+                ++s.skip.cycles_skipped;
+                s.asleep = true;
+                // The sample the skipped tick would have fired.
+                if (s.metrics)
+                    sampleUpTo(s, now);
+                continue;
+            }
+            if (s.asleep) {
+                s.skip.note(why);
+                s.asleep = false;
+            }
+        }
         s.epoch_end = now + 1;
-        s.wake_at = 0; // caller owns the loop: no horizon to trust
         tickShard(s, now);
+        if (skip_)
+            s.wake_at = s.controller->nextEventAt(now, &s.wake_why);
     }
 }
 
@@ -401,8 +423,10 @@ void
 MemorySystem::setCycleSkipping(bool on)
 {
     skip_ = on;
-    for (auto& s : shards_)
+    for (auto& s : shards_) {
         s.wake_at = 0;
+        s.asleep = false;
+    }
 }
 
 SkipStats

@@ -233,11 +233,14 @@ class MemorySystem
      * window end. The observable command sequence is bit-identical to
      * dense ticking — the horizon is a conservative bound and every
      * external input lands on a wake — so results, goldens and
-     * scenario hashes are unaffected. The serial tick() path is dense
-     * regardless (its caller owns the cycle loop). No cycle-
-     * proportional per-tick state exists in the controller or device
-     * (stats count commands, ages derive from arrival stamps), so
-     * skipping needs no bulk catch-up.
+     * scenario hashes are unaffected. The serial tick() path honours
+     * the same horizon: its caller still calls it every cycle, but a
+     * shard whose horizon and staged submit heads lie in the future
+     * is not ticked (counted in skipStats() like a runShard jump).
+     * Direct enqueues reset the horizon, so a caller may enqueue on
+     * any cycle. No cycle-proportional per-tick state exists in the
+     * controller or device (stats count commands, ages derive from
+     * arrival stamps), so skipping needs no bulk catch-up.
      */
     void setCycleSkipping(bool on);
 
@@ -289,10 +292,21 @@ class MemorySystem
          * direct enqueues (the serial paths bypass the mailboxes). */
         Cycle wake_at = 0;
         WakeSource wake_why = WakeSource::CommandReady;
+        /** The serial tick() skipped this shard's last cycle; its next
+         * tick is a wake to attribute. */
+        bool asleep = false;
         SkipStats skip; ///< this shard's skip counters
         /** Metrics sampler state (owned by the EventRecorder; null =
          * metrics off). Written only from this shard's tick loop. */
         obs::ShardMetrics* metrics = nullptr;
+
+        /** A direct enqueue landed: tick densely until recomputed (it
+         * is external input, attributed like a mailbox arrival). */
+        void wake()
+        {
+            wake_at = 0;
+            wake_why = WakeSource::Mailbox;
+        }
     };
 
     Shard& shard(int channel);
@@ -307,9 +321,10 @@ class MemorySystem
     /** Fire every sample scheduled at or before @p limit. */
     void sampleUpTo(Shard& s, Cycle limit);
 
-    /** Earliest cycle a staged submit could be ingested (head stamps
-     * + 1), kNeverCycle when both inbound mailboxes are empty. */
-    Cycle mailboxWakeAt(Shard& s) const;
+    /** Earliest cycle @p s must tick (skipping on): its persisted
+     * horizon, clamped by the staged submit heads (a submit stamped t
+     * is ingested before tick t + 1). @p why receives the cause. */
+    Cycle nextWake(Shard& s, WakeSource* why) const;
 
     dram::Organization org_;
     Cycle epoch_ = 1;

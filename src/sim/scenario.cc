@@ -744,7 +744,8 @@ mentionsProactive(const std::string& mitigation)
 }
 
 StatSet
-runWaveScenario(const ScenarioConfig& cfg, obs::EventRecorder*)
+runWaveScenario(const ScenarioConfig& cfg, obs::EventRecorder*,
+                ctrl::SkipStats*)
 {
     // Event-level model: no MemorySystem to instrument.
     attacks::WaveAttackConfig a;
@@ -767,7 +768,8 @@ runWaveScenario(const ScenarioConfig& cfg, obs::EventRecorder*)
 }
 
 StatSet
-runPerfScenario(const ScenarioConfig& cfg, obs::EventRecorder*)
+runPerfScenario(const ScenarioConfig& cfg, obs::EventRecorder*,
+                ctrl::SkipStats*)
 {
     attacks::PerfAttackConfig a;
     a.nbo = cfg.nbo;
@@ -827,6 +829,7 @@ recoveryAttackConfig(const ScenarioConfig& cfg, int attack_banks)
         a.attack_cycles = static_cast<Cycle>(cfg.attack_cycles);
     a.counter_update = cfg.experiment().counter_update;
     a.attack_banks = std::min(attack_banks, a.org.banksPerRank() - 1);
+    a.skip = cfg.engine.skip != EngineToggle::Off;
     return a;
 }
 
@@ -843,11 +846,12 @@ probeStatsTo(StatSet& s, const std::string& prefix,
 
 StatSet
 runRfmProbeScenario(const ScenarioConfig& cfg,
-                    obs::EventRecorder* recorder)
+                    obs::EventRecorder* recorder, ctrl::SkipStats* skip)
 {
     attacks::RecoveryAttackConfig a = recoveryAttackConfig(cfg, 1);
     a.recorder = recorder;
     attacks::RfmProbeResult r = attacks::runRfmProbeAttack(a);
+    *skip = r.skip;
     StatSet s;
     s.set("attack.alerts", static_cast<double>(r.alerts));
     s.set("attack.rfms", static_cast<double>(r.rfms));
@@ -863,11 +867,12 @@ runRfmProbeScenario(const ScenarioConfig& cfg,
 
 StatSet
 runRecoveryDosScenario(const ScenarioConfig& cfg,
-                       obs::EventRecorder* recorder)
+                       obs::EventRecorder* recorder, ctrl::SkipStats* skip)
 {
     attacks::RecoveryAttackConfig a = recoveryAttackConfig(cfg, 8);
     a.recorder = recorder;
     attacks::RecoveryDosResult r = attacks::runRecoveryDosAttack(a);
+    *skip = r.skip;
     StatSet s;
     s.set("attack.alerts", static_cast<double>(r.alerts));
     s.set("attack.rfms", static_cast<double>(r.rfms));
@@ -887,7 +892,7 @@ registerRecoveryAttacks(ScenarioRegistry& reg)
         "recovery", "channels", "ranks",   "mitigation",
         "backend",  "psq_size", "nbo",     "nmit",
         "mapping",  "attack_cycles", "counter-update", "subarrays",
-        "cuq_depth"};
+        "cuq_depth", "skip", "trace", "trace-out", "metrics-interval"};
     reg.registerAttack(
         "rfm-probe",
         "cross-bank/cross-channel recovery timing channel "
@@ -919,7 +924,8 @@ ScenarioRegistry::ScenarioRegistry()
         "toggle-forget",
         "Toggle+Forget on t-bit FIFO PRAC (paper Fig 2)",
         {{"psq_size", "nmit"}, false},
-        [](const ScenarioConfig& cfg, obs::EventRecorder*) {
+        [](const ScenarioConfig& cfg, obs::EventRecorder*,
+           ctrl::SkipStats*) {
             return panopticonStats(
                 attacks::toggleForgetAttack(panopticonConfig(cfg)));
         });
@@ -927,7 +933,8 @@ ScenarioRegistry::ScenarioRegistry()
         "fill-escape",
         "Fill+Escape on full-counter FIFO PRAC (paper Fig 3)",
         {{"psq_size", "nmit"}, false},
-        [](const ScenarioConfig& cfg, obs::EventRecorder*) {
+        [](const ScenarioConfig& cfg, obs::EventRecorder*,
+           ctrl::SkipStats*) {
             return panopticonStats(
                 attacks::fillEscapeAttack(panopticonConfig(cfg)));
         });
@@ -935,7 +942,8 @@ ScenarioRegistry::ScenarioRegistry()
         "blocking-tbit",
         "blocking t-bit variant, ABO_ACT cannot toggle (paper Fig 23)",
         {{"psq_size", "nmit"}, false},
-        [](const ScenarioConfig& cfg, obs::EventRecorder*) {
+        [](const ScenarioConfig& cfg, obs::EventRecorder*,
+           ctrl::SkipStats*) {
             return panopticonStats(
                 attacks::blockingTbitAttack(panopticonConfig(cfg)));
         });
@@ -1060,7 +1068,13 @@ ScenarioRegistry::run(const ScenarioConfig& cfg, int thread_budget) const
         if (it == attacks_.end())
             fatal(strCat("unknown attack scenario '", cfg.source, "'"));
         res.is_attack = true;
-        res.stats = it->second.run(cfg, recorder.get());
+        // Timing and skip counters stay beside the result, as for
+        // system runs.
+        const auto start = std::chrono::steady_clock::now();
+        res.stats = it->second.run(cfg, recorder.get(), &res.sim.skip);
+        res.sim.wall_ms = std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
         finishObs();
         return res;
     }

@@ -235,7 +235,10 @@ struct ScenarioResult
 {
     ScenarioConfig config;
     bool is_attack = false;
-    SimResult sim;         ///< full-system result (zeroed for attacks)
+    /** Full-system result. Attacks set only the fields kept out of
+     * the result document: wall_ms and, for the recovery families,
+     * the skip counters. */
+    SimResult sim;
     bool has_baseline = false;
     SimResult baseline_sim;
     double norm_perf = 0.0; ///< ipc_sum vs baseline (when has_baseline)
@@ -289,11 +292,12 @@ class ScenarioRegistry
   public:
     /**
      * Family runner. @p recorder is the run's observability hub (null
-     * when tracing and metrics are both off); event-level families
-     * with no MemorySystem ignore it.
+     * when tracing and metrics are both off); @p skip receives the
+     * run's cycle-skipping counters, which stay out of the result
+     * document. Event-level families with no MemorySystem ignore both.
      */
-    using AttackRunner = std::function<StatSet(const ScenarioConfig&,
-                                               obs::EventRecorder*)>;
+    using AttackRunner = std::function<StatSet(
+        const ScenarioConfig&, obs::EventRecorder*, ctrl::SkipStats*)>;
 
     /** Registration metadata for one attack family. */
     struct AttackOptions

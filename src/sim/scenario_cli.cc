@@ -242,22 +242,21 @@ profileReport(const ScenarioResult& res, unsigned sections)
             sk.wakes_epoch != 0;
         if (!skipped_ran) {
             out += "cycle skipping disabled for this run (skip=off, a\n"
-                   "cache hit, or an attack point) -- no skip counters.\n";
+                   "cache hit, or an attack family with no memory\n"
+                   "system) -- no skip counters.\n";
         } else {
             const double cycles = static_cast<double>(res.sim.cycles);
             const double shard_cycles =
                 cycles * static_cast<double>(res.config.channels);
-            const double pct =
-                shard_cycles > 0
-                    ? 100.0 * static_cast<double>(sk.cycles_skipped) /
-                          shard_cycles
-                    : 0.0;
+            const double skipped = static_cast<double>(sk.cycles_skipped);
             Table t({"counter", "value"});
-            t.addRow({"shard cycles", Table::num(shard_cycles, 0)});
-            t.addRow(
-                {"cycles skipped",
-                 Table::num(static_cast<double>(sk.cycles_skipped), 0)});
-            t.addRow({"skipped %", Table::num(pct, 1)});
+            // Attack results carry no cycle count, so no share either.
+            if (shard_cycles > 0)
+                t.addRow({"shard cycles", Table::num(shard_cycles, 0)});
+            t.addRow({"cycles skipped", Table::num(skipped, 0)});
+            if (shard_cycles > 0)
+                t.addRow({"skipped %",
+                          Table::num(100.0 * skipped / shard_cycles, 1)});
             t.addRow(
                 {"wakes: command-ready",
                  Table::num(static_cast<double>(sk.wakes_command), 0)});
@@ -322,14 +321,16 @@ profileReport(const ScenarioResult& res, unsigned sections)
                 static_cast<double>(res.config.channels);
             Table t({"counter", "value"});
             t.addRow({"wall ms", Table::num(res.sim.wall_ms, 1)});
-            t.addRow({"simulated cycles",
-                      Table::num(static_cast<double>(res.sim.cycles), 0)});
-            t.addRow({"sim cycles/sec",
-                      Table::num(res.sim.simCyclesPerSec(), 0)});
-            if (shard_cycles > 0)
+            if (shard_cycles > 0) { // attack results carry no cycles
+                t.addRow(
+                    {"simulated cycles",
+                     Table::num(static_cast<double>(res.sim.cycles), 0)});
+                t.addRow({"sim cycles/sec",
+                          Table::num(res.sim.simCyclesPerSec(), 0)});
                 t.addRow({"host ns / shard cycle",
                           Table::num(res.sim.wall_ms * 1e6 / shard_cycles,
                                      1)});
+            }
             out += t.toString();
         }
     }
@@ -511,7 +512,8 @@ sweepJson(const ScenarioConfig& base,
         w.key("wall_ms").value(point.wall_ms);
         w.key("sim_cycles_per_sec").value(point.sim_cycles_per_sec);
         // Skip-efficiency observability, same contract as the timing
-        // fields (zeros for attack points and cache hits).
+        // fields (zeros for cache hits and for attack families with no
+        // memory system).
         const ctrl::SkipStats& sk = point.result.sim.skip;
         w.key("cycles_skipped").value(sk.cycles_skipped);
         w.key("wake_reasons").beginObject();

@@ -17,12 +17,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/qprac.h"
 #include "ctrl/memory_controller.h"
+#include "obs/obs.h"
 #include "sim/scenario.h"
 
 using namespace qprac;
@@ -62,6 +65,16 @@ runWithSkip(ScenarioConfig cfg, const char* skip, int threads = 1)
     std::string err;
     EXPECT_TRUE(cfg.set("skip", skip, &err)) << err;
     return sim::runScenario(cfg, threads).resultJson();
+}
+
+std::string
+readFile(const std::string& path)
+{
+    std::ifstream f(path, std::ios::binary);
+    EXPECT_TRUE(f.good()) << path;
+    std::ostringstream buf;
+    buf << f.rdbuf();
+    return buf.str();
 }
 
 // --- Honesty half -----------------------------------------------------
@@ -228,23 +241,63 @@ TEST(EngineSkip, ByteIdenticalUnderCounterUpdateModes)
 
 TEST(EngineSkip, ByteIdenticalOnAttackFamilies)
 {
-    // Attack drivers run the serial MemorySystem::tick path, which is
-    // dense regardless of the key; this pins that contract (a future
-    // skipping attack path must preserve byte identity too).
-    for (const char* source :
-         {"attack:wave", "attack:rfm-probe", "attack:recovery-dos"}) {
-        ScenarioConfig cfg;
-        std::string err;
-        ASSERT_TRUE(cfg.set("source", source, &err)) << err;
-        if (std::string(source) == "attack:wave") {
-            cfg.nbo = 32;
-        } else {
-            ASSERT_TRUE(cfg.set("channels", "2", &err)) << err;
-            ASSERT_TRUE(cfg.set("attack_cycles", "40000", &err)) << err;
+    // The recovery drivers run the serial MemorySystem::tick path,
+    // which under skip=on leaves a shard asleep until its horizon. The
+    // result, the trace file and the metrics summary must match the
+    // dense reference byte for byte across recovery policies, channel
+    // counts and counter architectures, and skip=on must really skip.
+    ScenarioConfig base;
+    std::string err;
+    for (const auto& [key, value] :
+         std::vector<std::pair<const char*, const char*>>{
+             {"nbo", "8"},
+             {"attack_cycles", "30000"},
+             {"trace", "all"},
+             {"metrics-interval", "5000"}})
+        ASSERT_TRUE(base.set(key, value, &err)) << err;
+    sim::SweepSpec grid;
+    for (const char* axis :
+         {"source=attack:rfm-probe,attack:recovery-dos",
+          "recovery=channel-stall,bank-isolated,group-isolated",
+          "channels=1,2", "counter-update=inline,queued"})
+        ASSERT_TRUE(grid.add(axis, &err)) << err;
+    int n = 0;
+    for (const auto& point : grid.enumerate()) {
+        ScenarioConfig cfg = base;
+        std::string where;
+        for (const auto& [key, value] : point) {
+            ASSERT_TRUE(cfg.set(key, value, &err)) << err;
+            where += key + "=" + value + " ";
         }
-        EXPECT_EQ(runWithSkip(cfg, "off"), runWithSkip(cfg, "on"))
-            << source;
+        // One path for both runs: the metrics report names it.
+        const std::string path = testing::TempDir() + "skip_attack_" +
+                                 std::to_string(n++) + ".json";
+        ASSERT_TRUE(cfg.set("trace-out", path, &err)) << err;
+        ScenarioResult runs[2];
+        std::string traces[2];
+        for (int i = 0; i < 2; ++i) {
+            ASSERT_TRUE(cfg.set("skip", i ? "on" : "off", &err)) << err;
+            runs[i] = sim::runScenario(cfg, 1);
+            traces[i] = readFile(path);
+            std::remove(path.c_str());
+        }
+        EXPECT_GT(runs[0].stats.getOr("attack.alerts", 0), 0.0)
+            << where << ": not alert-active, test is vacuous";
+        EXPECT_EQ(runs[0].resultJson(), runs[1].resultJson()) << where;
+        EXPECT_FALSE(traces[0].empty()) << where;
+        EXPECT_EQ(traces[0], traces[1]) << where;
+        ASSERT_TRUE(runs[0].obs && runs[1].obs) << where;
+        EXPECT_EQ(runs[0].obs->report(), runs[1].obs->report()) << where;
+        EXPECT_EQ(runs[0].sim.skip.cycles_skipped, 0u) << where;
+        EXPECT_GT(runs[1].sim.skip.cycles_skipped, 0u) << where;
     }
+    EXPECT_EQ(n, 24);
+
+    // An event-level family has no memory system: the key is inert.
+    ScenarioConfig wave;
+    ASSERT_TRUE(wave.set("source", "attack:wave", &err)) << err;
+    wave.nbo = 32;
+    EXPECT_EQ(runWithSkip(wave, "off"), runWithSkip(wave, "on"));
 }
 
 TEST(EngineSkip, SkipKeyValidatesAndRoundTrips)
@@ -406,4 +459,73 @@ TEST(EngineSkipHorizon, HonestUnderPerBankRfmPacing)
         return;
     EXPECT_TRUE(f.mc->drained());
     EXPECT_GE(f.mc->stats().policy_rfms, 2u);
+}
+
+namespace {
+
+/**
+ * Isolated recovery under an alert storm: all four banks are hammered
+ * together with row conflicts, so their per-bank recoveries overlap,
+ * for over two tREFI, so REFs come due while recoveries are in flight.
+ * Audits the per-bank recovery concern of nextEventAt and the demand
+ * gate on its bank sweeps (quiesce PREs, REF drains). While any bank
+ * wants an alert the per-bank engine's horizon is the next cycle, so
+ * the audited spans are the gaps between and around recoveries.
+ */
+void
+auditIsolatedRecovery(ctrl::RecoveryKind kind)
+{
+    ControllerConfig cfg;
+    cfg.abo.enabled = true;
+    cfg.abo.nmit = 2;
+    cfg.abo.recovery = kind;
+    QpracConfig qc = QpracConfig::base(4, 2); // alert after 4 ACTs
+    Fixture f(cfg, &qc);
+    const Cycle trefi = static_cast<Cycle>(f.timing.tREFI);
+    int sent = 0;
+    std::uint64_t refs_seen = 0;
+    bool was_busy = false;
+    bool ref_in_recovery = false;
+    std::uint64_t audited = 0;
+    auditHorizons(
+        f, trefi * 5 / 2,
+        [&](Cycle t) {
+            const ctrl::BankRecoveryEngine* engine =
+                f.mc->abo().bankRecovery();
+            const bool busy = engine && !engine->idle();
+            const std::uint64_t refs = f.mc->stats().refs;
+            if (refs > refs_seen && busy && was_busy)
+                ref_in_recovery = true;
+            refs_seen = refs;
+            was_busy = busy;
+            // Top the queue up round-robin over the banks; each bank
+            // alternates between two rows, so every read is an ACT.
+            while (t < trefi * 9 / 4 && f.mc->readQueueDepth() < 8) {
+                ASSERT_TRUE(
+                    f.enqueueRead(sent % 4, 100 + 200 * (sent / 4 % 2), t));
+                ++sent;
+            }
+        },
+        &audited);
+    if (::testing::Test::HasFatalFailure())
+        return;
+    const ctrl::BankRecoveryEngine* engine = f.mc->abo().bankRecovery();
+    ASSERT_NE(engine, nullptr);
+    EXPECT_GE(engine->peakConcurrent(), 2) << "recoveries never overlapped";
+    EXPECT_GE(f.mc->stats().alerts, 8u);
+    EXPECT_GE(f.mc->stats().refs, 2u);
+    EXPECT_TRUE(ref_in_recovery) << "no REF landed inside a recovery";
+    EXPECT_GT(audited, 0u);
+}
+
+} // namespace
+
+TEST(EngineSkipHorizon, HonestUnderBankIsolatedRecovery)
+{
+    auditIsolatedRecovery(ctrl::RecoveryKind::BankIsolated);
+}
+
+TEST(EngineSkipHorizon, HonestUnderGroupIsolatedRecovery)
+{
+    auditIsolatedRecovery(ctrl::RecoveryKind::GroupIsolated);
 }

@@ -180,6 +180,31 @@ TEST(MemoryControllerTest, AboFlowServicesAlert)
     EXPECT_LT(f.dev.pracCounters().count(0, 100), 6u);
 }
 
+TEST(MemoryControllerTest, IsolatedRecoveryClosesAnIdleOpenBank)
+{
+    // The alerting bank is left open with nothing queued for it, so
+    // only its own recovery's quiesce demand can precharge it. That
+    // must happen long before the first REF would close the bank.
+    ControllerConfig cfg;
+    cfg.abo.enabled = true;
+    cfg.abo.nmit = 1;
+    cfg.abo.recovery = ctrl::RecoveryKind::BankIsolated;
+    QpracConfig qc = QpracConfig::base(4, 1); // alert after 4 ACTs
+    Fixture f(cfg, &qc);
+    // Rows A B A B A B A: the seventh ACT brings row A to 4.
+    for (int i = 0; i < 7; ++i) {
+        f.enqueueRead(0, (i % 2) ? 300 : 100, 0);
+        f.run(400);
+    }
+    f.run(2000);
+    ASSERT_LT(f.now, static_cast<Cycle>(f.timing.tREFI));
+    auto s = f.mc->stats();
+    EXPECT_EQ(s.refs, 0u);
+    ASSERT_EQ(s.alerts, 1u);
+    EXPECT_EQ(s.rfms, 1u);
+    EXPECT_TRUE(f.mc->abo().idle());
+}
+
 TEST(MemoryControllerTest, AboDisabledNeverAlerts)
 {
     ControllerConfig cfg;

@@ -463,6 +463,33 @@ TEST(ObsCli, ProfileEngineSaysDisabledWhenSkipIsOff)
     EXPECT_NE(on.find("cycles skipped"), std::string::npos);
 }
 
+TEST(ObsCli, ProfileReportsAttackPointEngineAndWallTime)
+{
+    // A recovery attack drives a memory system: the engine section
+    // shows its skip counters and the wall section the run's time.
+    const std::vector<std::string> dos = {
+        "--set", "source=attack:recovery-dos", "--set",
+        "attack_cycles=20000", "--profile=engine,wall"};
+    const std::string out = runCli(dos);
+    EXPECT_NE(out.find("cycles skipped"), std::string::npos);
+    EXPECT_NE(out.find("wakes: command-ready"), std::string::npos);
+    EXPECT_EQ(out.find("cycle skipping disabled"), std::string::npos);
+    EXPECT_NE(out.find("wall ms"), std::string::npos);
+    EXPECT_EQ(out.find("nothing ran"), std::string::npos);
+
+    std::vector<std::string> dense = dos;
+    dense.insert(dense.end(), {"--set", "skip=off"});
+    const std::string off = runCli(dense);
+    EXPECT_NE(off.find("cycle skipping disabled"), std::string::npos);
+    EXPECT_NE(off.find("wall ms"), std::string::npos);
+
+    // A family with no memory system has no skip counters, but ran.
+    const std::string wave = runCli(
+        {"--set", "source=attack:wave", "--profile=engine,wall"});
+    EXPECT_NE(wave.find("cycle skipping disabled"), std::string::npos);
+    EXPECT_NE(wave.find("wall ms"), std::string::npos);
+}
+
 TEST(ObsCli, MetricsFlagPrintsReportAndDefaultsInterval)
 {
     const std::string out = runCli(withFlags({"--metrics"}));

@@ -369,6 +369,18 @@ TEST(ScenarioRegistryTest, ExposesWorkloadsAndAttacks)
     }
     EXPECT_EQ(workloads, 57);
     EXPECT_EQ(attacks, 7);
+
+    // The recovery families drive a memory system, so they honour the
+    // engine and observability keys too, and list them.
+    for (const auto& s : reg.sources()) {
+        if (s.name != "attack:rfm-probe" && s.name != "attack:recovery-dos")
+            continue;
+        for (const char* key :
+             {"skip", "trace", "trace-out", "metrics-interval"})
+            EXPECT_NE(std::find(s.keys.begin(), s.keys.end(), key),
+                      s.keys.end())
+                << s.name << " does not list " << key;
+    }
 }
 
 TEST(ScenarioRegistryTest, RunsSystemScenario)
