@@ -1,32 +1,25 @@
 /**
  * @file
- * Ablation — subarray counter architecture: inline PRAC counter
+ * Ablation — off-row-cycle counter updates: inline PRAC counter
  * updates (the RMW folded into every precharge, paper-faithful
- * tRAS = 16ns / tRP = 36ns split) vs the queued/coalesced per-bank
- * write-back queues of dram/counter_update.h, which revert banks to
- * the conventional 32ns / 16ns split and retire the RMWs in idle gaps
- * and ACT shadows.
+ * tRAS = 16ns / tRP = 36ns split) vs counter-update=queued, which
+ * reverts banks to the conventional 32ns / 16ns split (PRACtical).
+ * The RMW (20 ns) fits inside the conventional row cycle (48 ns) a
+ * bank waits out before its next ACT, so the split is the whole
+ * timing effect (asserted when the device is built).
  *
- *  - Throughput: counter-update x recovery x channels over the
- *    alert-heavy PR 5 base (NBO = 8). The off-critical-path modes
- *    shorten every row cycle by the RMW cost, so they recover IPC
- *    under both recovery policies; coalescing adds same-row merges on
- *    top but cannot beat queued on IPC (the win is mode-level).
- *
- *  - Drain ledger: subarrays x cuq_depth under counter-update=queued.
- *    Per-bank ACT spacing (>= tRC) always exceeds the per-entry drain
- *    cost, so the idle port retires nearly everything and the ledger
- *    shows why the queue never saturates in practice — the
- *    stalls/pending columns are the evidence, not an assumption.
+ * Sweep: counter-update x recovery x channels over an alert-heavy
+ * base (NBO = 8). Queued updates shorten every row cycle by the RMW
+ * cost, so they recover IPC under both recovery policies.
  *
  * Everything derives from examples/scenarios/ablation_subarray.ini
  * plus the sweep specs below. The matrix is written to
  * BENCH_subarray.json (the checked-in copy records a reference run;
  * QPRAC_BENCH_SUBARRAY_OUT moves it). QPRAC_ASSERT_COUNTER_UPDATE=1
- * turns the takeaway into a hard bar: queued and coalesced must beat
- * inline IPC on every swept (recovery, channels) point. The bar is
- * about simulated cycles, not wall clock, so it is deterministic and
- * never self-skips.
+ * turns the takeaway into a hard bar: queued must beat inline IPC on
+ * every swept (recovery, channels) point. The bar is about simulated
+ * cycles, not wall clock, so it is deterministic and never
+ * self-skips.
  */
 #include "bench_common.h"
 
@@ -39,14 +32,7 @@ using sim::SweepSpec;
 
 namespace {
 
-constexpr const char* kModeAxis =
-    "counter-update=inline,queued,coalesced";
-
-double
-statOf(const SweepPointResult& p, const char* key)
-{
-    return p.result.sim.stats.getOr(key, 0.0);
-}
+constexpr const char* kModeAxis = "counter-update=inline,queued";
 
 } // namespace
 
@@ -54,8 +40,8 @@ int
 main(int argc, char** argv)
 {
     bench::banner("Ablation",
-                  "subarray counter architecture: inline RMW vs "
-                  "queued/coalesced write-back — IPC and drain ledger");
+                  "counter update: inline RMW vs queued (conventional "
+                  "row-cycle split) — IPC");
 
     sim::ResultCache cache(bench::cacheDirFromArgs(argc, argv));
 
@@ -122,43 +108,11 @@ main(int argc, char** argv)
     }
     pt.print();
 
-    // --- Drain ledger: subarrays x depth under queued updates ----------
-    ScenarioConfig queued = base;
-    std::string set_err;
-    if (!queued.set("counter-update", "queued", &set_err))
-        fatal(strCat("bad queued scenario: ", set_err));
-    auto ledger = bench::runSweepAxes(
-        queued, {"subarrays=1,16,64,256", "cuq_depth=1,16"}, &cache);
-
-    bench::ResultSink ledger_csv(
-        "ablation_subarray_ledger",
-        {"subarrays", "cuq_depth", "enqueued", "drained_idle",
-         "drained_act", "drained_flush", "stalls", "peak_occupancy"});
-    Table lt({"subarrays", "depth", "enqueued", "idle", "act shadow",
-              "flush", "stalls", "peak occ"});
-    for (const auto& p : ledger) {
-        const std::vector<std::string> row = {
-            bench::overrideValue(p, "subarrays"),
-            bench::overrideValue(p, "cuq_depth"),
-            Table::num(statOf(p, "dram.counter_update.enqueued"), 0),
-            Table::num(statOf(p, "dram.counter_update.drained_idle"), 0),
-            Table::num(statOf(p, "dram.counter_update.drained_act"), 0),
-            Table::num(statOf(p, "dram.counter_update.drained_flush"),
-                       0),
-            Table::num(statOf(p, "dram.counter_update.stalls"), 0),
-            Table::num(statOf(p, "dram.counter_update.peak_occupancy"),
-                       0)};
-        ledger_csv.addRow(row);
-        lt.addRow(row);
-    }
-    lt.print();
-
     // --- BENCH_subarray.json -------------------------------------------
     JsonWriter w;
     w.beginObject();
     w.key("bench").value("ablation_subarray");
-    w.key("points").value(
-        static_cast<std::uint64_t>(perf.size() + ledger.size()));
+    w.key("points").value(static_cast<std::uint64_t>(perf.size()));
     w.key("min_ipc_gain").value(min_gain);
     w.key("max_ipc_gain").value(max_gain);
     w.key("rows").beginArray();
@@ -170,18 +124,6 @@ main(int argc, char** argv)
         w.key("ipc_sum").value(p.result.sim.ipc_sum);
         w.key("cycles").value(
             static_cast<std::uint64_t>(p.result.sim.cycles));
-        w.endObject();
-    }
-    w.endArray();
-    w.key("ledger").beginArray();
-    for (const auto& p : ledger) {
-        w.beginObject();
-        for (const char* axis : {"subarrays", "cuq_depth"})
-            w.key(axis).value(bench::overrideValue(p, axis));
-        w.key("enqueued")
-            .value(statOf(p, "dram.counter_update.enqueued"));
-        w.key("stalls").value(statOf(p, "dram.counter_update.stalls"));
-        w.key("pending").value(statOf(p, "dram.counter_update.pending"));
         w.endObject();
     }
     w.endArray();
@@ -197,24 +139,20 @@ main(int argc, char** argv)
             std::printf("note: could not write %s\n", out_path.c_str());
     }
 
-    // Opt-in hard bar (CI): off-critical-path updates must beat the
-    // tRC-limited inline baseline on every swept point.
+    // Opt-in hard bar (CI): queued updates must beat the tRC-limited
+    // inline baseline on every swept point.
     if (std::getenv("QPRAC_ASSERT_COUNTER_UPDATE")) {
         std::printf("counter-update assert: IPC gain %.2f%% .. %.2f%% "
                     "over inline\n",
                     100.0 * min_gain, 100.0 * max_gain);
         if (bar_failed)
-            fatal(strCat("queued/coalesced did not beat inline: ",
-                         bar_detail));
+            fatal(strCat("queued did not beat inline: ", bar_detail));
     }
 
     std::printf(
         "\nTakeaway: taking the counter RMW off the row cycle buys "
         "%.1f%%..%.1f%% IPC over the inline PRAC split across the "
-        "recovery x channel grid, and the drain ledger shows why the "
-        "queue never saturates: per-bank ACT spacing (>= tRC) always "
-        "exceeds the per-entry write-back cost, so the idle port "
-        "absorbs nearly every update (full numbers in %s).\n",
+        "recovery x channel grid (full numbers in %s).\n",
         100.0 * min_gain, 100.0 * max_gain, out_path.c_str());
     if (cache.enabled()) {
         const auto c = cache.counters();

@@ -59,7 +59,7 @@ BENCHMARK_TEMPLATE(BM_BackendActivate, core::CoalescingQueue)
 static void
 BM_PsqTop(benchmark::State& state)
 {
-    core::PriorityServiceQueue psq(5);
+    core::LinearCamQueue psq(5);
     for (int i = 0; i < 5; ++i)
         psq.onActivate(i, static_cast<ActCount>(i + 1));
     for (auto _ : state)

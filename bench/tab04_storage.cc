@@ -60,9 +60,10 @@ main()
                 "12MB, CAT 196KB -> 7.84MB from TRH 4K to 100; QPRAC 15 "
                 "bytes at both (7-bit counters at TRH=66).\n");
 
-    // Per-subarray counter update path (dram/counter_update.h): the
-    // queued/coalesced architecture trades a few bytes of per-bank
-    // SRAM for taking the counter RMW off the row cycle.
+    // Off-row-cycle counter update path (security/storage_model.h):
+    // the write-back queue and subarray latches that counter-update=
+    // queued assumes trade a few bytes of per-bank SRAM for taking the
+    // counter RMW off the row cycle.
     std::printf("\n-- Subarray counter update storage (per bank, "
                 "TRH = 66) --\n");
     Table cu({"Structure", "sa=16 d=8", "sa=64 d=16", "sa=128 d=32"});

@@ -33,7 +33,6 @@
 #include "common/types.h"
 #include "ctrl/memory_system.h"
 #include "dram/address.h"
-#include "dram/counter_update.h"
 #include "dram/timing.h"
 
 namespace qprac::obs {
@@ -50,7 +49,7 @@ struct RecoveryAttackConfig
     ctrl::ControllerConfig ctrl; ///< abo.recovery selects the policy
     ctrl::MitigationFactory mitigation; ///< one instance per channel
     dram::MappingScheme mapping = dram::MappingScheme::RoRaBgBaCo;
-    /** Counter architecture under attack (inline = paper-faithful). */
+    /** Counter-update mode under attack (inline = paper-faithful). */
     dram::CounterUpdateConfig counter_update;
 
     Cycle warmup_cycles = 100'000; ///< quiet phase (victim only)

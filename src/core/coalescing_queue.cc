@@ -6,6 +6,17 @@
 
 namespace qprac::core {
 
+namespace {
+
+/** Strict hottest-first order: count descending, then row ascending. */
+bool
+hotterFirst(const SqEntry& a, const SqEntry& b)
+{
+    return a.count > b.count || (a.count == b.count && a.row < b.row);
+}
+
+} // namespace
+
 CoalescingQueue::CoalescingQueue(int capacity, int window)
     : main_(capacity), window_capacity_(window)
 {
@@ -16,7 +27,11 @@ CoalescingQueue::CoalescingQueue(int capacity, int window)
 int
 CoalescingQueue::findStaged(int row) const
 {
-    return findStagedRow(window_, row);
+    // A linear CAM over the small staging window.
+    for (std::size_t i = 0; i < window_.size(); ++i)
+        if (window_[i].row == row)
+            return static_cast<int>(i);
+    return -1;
 }
 
 void

@@ -73,9 +73,6 @@ class LinearCamQueue final : public ServiceQueueBackend
     std::uint64_t next_seq_ = 0;
 };
 
-/** Historical name for the default backend. */
-using PriorityServiceQueue = LinearCamQueue;
-
 } // namespace qprac::core
 
 #endif // QPRAC_CORE_PSQ_H

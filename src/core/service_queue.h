@@ -108,29 +108,6 @@ class ServiceQueueBackend
     virtual std::vector<SqEntry> snapshot() const = 0;
 };
 
-/**
- * Linear CAM search over a small staging vector: index of @p row or -1.
- * Shared by the CnC-PRAC coalescing window and the subarray
- * counter-update queue — both model the same hardware idiom, a handful
- * of match lines over a tiny buffer.
- */
-inline int
-findStagedRow(const std::vector<SqEntry>& entries, int row)
-{
-    for (std::size_t i = 0; i < entries.size(); ++i)
-        if (entries[i].row == row)
-            return static_cast<int>(i);
-    return -1;
-}
-
-/** Strict hottest-first order: count descending, then row ascending.
- * The drain order of every coalescing-style staging buffer. */
-inline bool
-hotterFirst(const SqEntry& a, const SqEntry& b)
-{
-    return a.count > b.count || (a.count == b.count && a.row < b.row);
-}
-
 /** Available backend implementations. */
 enum class SqBackendKind
 {

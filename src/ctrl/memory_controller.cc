@@ -515,10 +515,6 @@ MemoryController::nextEventAt(Cycle now, WakeSource* why) const
     queue_concern(reads_, false);
     queue_concern(writes_, true);
 
-    // CounterUpdateQueues contribute no concern: drains are evaluated
-    // lazily at command time (see the header contract), so between
-    // commands they cannot change state.
-
     if (at <= now)
         at = now + 1; // degenerate to dense ticking
     if (why)

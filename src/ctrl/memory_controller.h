@@ -47,8 +47,6 @@ enum class WakeSource
     CommandReady,  ///< a queued request's timing constraint expires
     Refresh,       ///< a rank's tREFI deadline or REF drain completes
     Recovery,      ///< an ABO / per-bank recovery machine transition
-    CuqDrain,      ///< counter-update-queue work (lazy: never fires, see
-                   ///< MemoryController::nextEventAt)
     Mailbox,       ///< a staged submit becomes eligible for ingest,
                    ///< or a direct enqueue arrived (serial path)
     EpochBoundary, ///< the shard window ended before the horizon
@@ -138,10 +136,7 @@ class MemoryController
      * Gated candidates (an ACT behind a quiesce, a CAS behind a pump)
      * are excluded by induction: the gate can only open on a machine
      * transition that is itself a wake, after which the horizon is
-     * recomputed with the gate open. CounterUpdateQueues contribute no
-     * concern at all: their drains are evaluated lazily at command
-     * time (dram/counter_update.h), so between commands they cannot
-     * change state — the CuqDrain wake source is honestly zero.
+     * recomputed with the gate open.
      *
      * @param why (optional) receives the concern that produced the
      *        winning horizon.

@@ -34,9 +34,6 @@ SkipStats::note(WakeSource why)
       case WakeSource::Recovery:
         ++wakes_recovery;
         break;
-      case WakeSource::CuqDrain:
-        ++wakes_cuq;
-        break;
       case WakeSource::Mailbox:
         ++wakes_mailbox;
         break;
@@ -53,7 +50,6 @@ SkipStats::add(const SkipStats& o)
     wakes_command += o.wakes_command;
     wakes_refresh += o.wakes_refresh;
     wakes_recovery += o.wakes_recovery;
-    wakes_cuq += o.wakes_cuq;
     wakes_mailbox += o.wakes_mailbox;
     wakes_epoch += o.wakes_epoch;
 }
@@ -242,7 +238,6 @@ MemorySystem::sampleShard(Shard& s, Cycle at)
         {mit ? static_cast<std::int64_t>(mit->queueOccupancy()) : -1,
          mit ? mit->maxTrackedCount() : -1,
          static_cast<std::int64_t>(s.device->actsSinceAlertService()),
-         static_cast<std::int64_t>(s.device->cuqOccupancy()),
          static_cast<std::int64_t>(s.controller->readQueueDepth())});
 }
 
@@ -494,15 +489,6 @@ MemorySystem::deviceStats() const
     return total;
 }
 
-dram::CounterUpdateStats
-MemorySystem::counterUpdateStats() const
-{
-    dram::CounterUpdateStats total;
-    for (const auto& s : shards_)
-        total.add(s.device->counterUpdateStats());
-    return total;
-}
-
 CtrlStats
 MemorySystem::ctrlStats() const
 {
@@ -550,23 +536,12 @@ MemorySystem::exportStats(StatSet& out, const std::string& prefix) const
     ctrlStats().exportTo(out, prefix + "ctrl.");
     if (hasMitigation())
         mitigationStats().exportTo(out, prefix + "mit.");
-    // Counter write-back stats exist only off the critical path; the
-    // inline configuration's stat set stays byte-identical to pre-
-    // subarray output (part of the golden-pin contract).
-    const bool queued_updates =
-        !shards_.empty() &&
-        shards_.front().device->counterUpdateConfig().offCriticalPath();
-    if (queued_updates)
-        counterUpdateStats().exportTo(out, prefix + "dram.counter_update.");
     if (channels() > 1) {
         for (int c = 0; c < channels(); ++c) {
             const std::string ch = prefix + strCat("ch", c, ".");
             const Shard& s = shards_[static_cast<std::size_t>(c)];
             s.device->stats().exportTo(out, ch + "dram.");
             s.controller->stats().exportTo(out, ch + "ctrl.");
-            if (queued_updates)
-                s.device->counterUpdateStats().exportTo(
-                    out, ch + "dram.counter_update.");
             if (s.mitigation)
                 s.mitigation->stats().exportTo(out, ch + "mit.");
         }

@@ -99,10 +99,10 @@ struct SkipStats
     std::uint64_t wakes_command = 0;  ///< WakeSource::CommandReady
     std::uint64_t wakes_refresh = 0;  ///< WakeSource::Refresh
     std::uint64_t wakes_recovery = 0; ///< WakeSource::Recovery
-    std::uint64_t wakes_cuq = 0;      ///< WakeSource::CuqDrain (always 0:
-                                      ///< cuq drains are command-lazy)
     std::uint64_t wakes_mailbox = 0;  ///< WakeSource::Mailbox
     std::uint64_t wakes_epoch = 0;    ///< jump truncated by the window
+    /** Always zero, not counted; kept because perfbench reads it. */
+    static constexpr std::uint64_t wakes_cuq = 0;
 
     /** Attribute one wake to @p why. */
     void note(WakeSource why);
@@ -259,8 +259,6 @@ class MemorySystem
     // --- Cross-channel aggregation --------------------------------------
     dram::DeviceStats deviceStats() const;
     CtrlStats ctrlStats() const;
-    /** Summed counter write-back queue ledger (all channels). */
-    dram::CounterUpdateStats counterUpdateStats() const;
     /** Summed mitigation stats (zeros when no mitigation is attached). */
     dram::MitigationStats mitigationStats() const;
     bool hasMitigation() const;

@@ -32,28 +32,6 @@ Organization::tiny()
     return org;
 }
 
-int
-rowsPerSubarray(int rows_per_bank, int subarrays_per_bank)
-{
-    QP_ASSERT(subarrays_per_bank > 0 &&
-                  (subarrays_per_bank & (subarrays_per_bank - 1)) == 0,
-              "subarrays per bank must be a power of two");
-    QP_ASSERT(rows_per_bank > 0, "bank must have rows");
-    if (subarrays_per_bank == 1)
-        return rows_per_bank; // monolithic bank; any row count is fine
-    log2Exact(rows_per_bank); // tiling requires a power-of-two row count
-    if (subarrays_per_bank >= rows_per_bank)
-        return 1;
-    return rows_per_bank / subarrays_per_bank;
-}
-
-int
-subarrayOfRow(const Organization& org, int subarrays_per_bank, int row)
-{
-    QP_ASSERT(row >= 0 && row < org.rows_per_bank, "row out of range");
-    return row / rowsPerSubarray(org, subarrays_per_bank);
-}
-
 AddressMapper::AddressMapper(const Organization& org, MappingScheme scheme)
     : org_(org), scheme_(scheme)
 {

@@ -88,28 +88,6 @@ flatBankInChannel(const Organization& org, const DecodedAddr& dec)
 }
 
 /**
- * Rows one subarray holds when a bank of @p rows_per_bank rows is
- * split into @p subarrays_per_bank subarrays (both powers of two; the
- * split is clamped so a subarray never shrinks below one row).
- */
-int rowsPerSubarray(int rows_per_bank, int subarrays_per_bank);
-
-inline int
-rowsPerSubarray(const Organization& org, int subarrays_per_bank)
-{
-    return rowsPerSubarray(org.rows_per_bank, subarrays_per_bank);
-}
-
-/**
- * Row -> subarray index in [0, subarrays_per_bank): rows tile
- * contiguously, so subarray = row / rowsPerSubarray. Physically the
- * subarray is selected by the row address MSBs — neighboring rows
- * (blast-radius victims) share a subarray except at tile boundaries.
- */
-int subarrayOfRow(const Organization& org, int subarrays_per_bank,
-                  int row);
-
-/**
  * Composes/decomposes physical addresses. Field widths are derived from
  * the Organization (all fields must be powers of two).
  */

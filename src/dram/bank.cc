@@ -88,13 +88,6 @@ Bank::doWrite(Cycle now)
 }
 
 void
-Bank::stallRowCycle(Cycle extra)
-{
-    next_pre_ += extra;
-    next_act_ += extra;
-}
-
-void
 Bank::block(Cycle until)
 {
     QP_ASSERT(!isOpen(), "REF/RFM requires a precharged bank");

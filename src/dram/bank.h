@@ -61,14 +61,6 @@ class Bank
      */
     void block(Cycle until);
 
-    /**
-     * Stretch the current row cycle by @p extra cycles: the inline
-     * counter-RMW fallback when the write-back queue is full (the bank
-     * pays the RMW in its precharge after all, delaying both the PRE
-     * window and the next ACT).
-     */
-    void stallRowCycle(Cycle extra);
-
     /** Earliest cycle the bank could accept an ACT (for schedulers). */
     Cycle nextActReady() const { return next_act_; }
 

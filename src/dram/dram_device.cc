@@ -31,15 +31,27 @@ DeviceStats::add(const DeviceStats& o)
 
 namespace {
 
-/** The timing split banks run under the given counter-update mode. */
+/**
+ * The timing split banks run under the given counter-update mode.
+ *
+ * Queued updates take the counter RMW (tRP - tRP_base) off the row
+ * cycle and revert banks to the conventional split (PRACtical). The
+ * counter value still commits at ACT; only its write-back moves, and
+ * it runs while the bank waits out the conventional row cycle
+ * (tRAS_base + tRP_base) before its next ACT. When the RMW fits in
+ * that cycle, no ACT can ever wait on a write-back, so the split is
+ * the mode's whole timing effect.
+ */
 TimingParams
 bankTimingFor(const TimingParams& t, const CounterUpdateConfig& cu)
 {
     TimingParams bt = t;
-    if (cu.offCriticalPath() && t.tRAS_base > 0 && t.tRP_base > 0) {
-        // The counter RMW leaves the row cycle: revert to the
-        // conventional split (PRACtical); the RMW cost tRP - tRP_base
-        // is paid by the write-back queue instead.
+    if (cu.mode == CounterUpdateMode::Queued && t.tRAS_base > 0 &&
+        t.tRP_base > 0) {
+        QP_ASSERT(t.tRP - t.tRP_base <= t.tRAS_base + t.tRP_base,
+                  "counter-update=queued: the counter RMW (tRP - "
+                  "tRP_base) must fit in one conventional row cycle "
+                  "(tRAS_base + tRP_base)");
         bt.tRAS = t.tRAS_base;
         bt.tRP = t.tRP_base;
         bt.tRC = bt.tRAS + bt.tRP;
@@ -55,9 +67,7 @@ DramDevice::DramDevice(const Organization& org, const TimingParams& timing,
     : org_(org.perChannel()),
       t_(timing),
       bank_t_(bankTimingFor(timing, counter_update)),
-      cu_cfg_(counter_update),
-      counters_(org.banksPerChannel(), org.rows_per_bank, blast_radius,
-                counter_update.subarrays)
+      counters_(org.banksPerChannel(), org.rows_per_bank, blast_radius)
 {
     // One device is one channel: a multi-channel Organization is
     // normalized to its per-channel slice, and every flat_bank this
@@ -68,13 +78,6 @@ DramDevice::DramDevice(const Organization& org, const TimingParams& timing,
         banks_.emplace_back(bank_t_);
     for (int r = 0; r < org_.ranks; ++r)
         rank_timing_.emplace_back(t_);
-    if (cu_cfg_.offCriticalPath()) {
-        const Cycle drain =
-            static_cast<Cycle>(t_.tRP) - static_cast<Cycle>(bank_t_.tRP);
-        cuq_.reserve(static_cast<std::size_t>(total));
-        for (int i = 0; i < total; ++i)
-            cuq_.emplace_back(cu_cfg_, counters_.geometry(), drain);
-    }
     acts_per_bank_.assign(static_cast<std::size_t>(total), 0);
     bank_acts_at_service_.assign(static_cast<std::size_t>(total), 0);
     bank_alert_serviced_.assign(static_cast<std::size_t>(total), 0);
@@ -257,23 +260,6 @@ DramDevice::issueAct(int flat_bank, int row, Cycle now)
     // The PRAC counter update is synchronous (mitigations read counters
     // during RFM); only the mitigation notification is batched.
     ActCount count = counters_.onActivate(flat_bank, row);
-    if (!cuq_.empty()) {
-        // Off-critical-path mode: the *functional* commit above is
-        // unchanged (mitigation decisions stay bit-identical); the
-        // queue models the physical write-back the bank no longer pays
-        // inside its precharge. A full queue stretches this row cycle
-        // by the RMW cost — the inline fallback, never a drop.
-        const Cycle stall =
-            cuq_[static_cast<std::size_t>(flat_bank)].onActivate(row,
-                                                                 now);
-        if (stall > 0) {
-            bank(flat_bank).stallRowCycle(stall);
-            if (sink_)
-                sink_->record(obs::kCuq, now, "cuq-stall", "bank",
-                              flat_bank, "stall",
-                              static_cast<std::int64_t>(stall));
-        }
-    }
     if (sink_)
         sink_->record(obs::kCmd, now, "ACT", "bank", flat_bank, "row", row);
     if (mitigation_) {
@@ -328,26 +314,15 @@ DramDevice::issueRefresh(int rank, Cycle now)
     flushMitigationActs();
     const int per_rank = org_.banksPerRank();
     const Cycle until = now + t_.tRFC;
-    int cuq_flushed = 0;
     for (int i = rank * per_rank; i < (rank + 1) * per_rank; ++i) {
         banks_[static_cast<std::size_t>(i)].block(until);
-        // REF owns the bank for tRFC — long enough to flush every
-        // pending counter write-back for free.
-        if (!cuq_.empty()) {
-            cuq_flushed += cuq_[static_cast<std::size_t>(i)].occupancy();
-            cuq_[static_cast<std::size_t>(i)].onFlush(until);
-        }
         // Proactive mitigation opportunity in the REF shadow (§III-D2).
         if (mitigation_)
             mitigation_->onRefresh(i, now);
     }
     ++stats_.refs;
-    if (sink_) {
+    if (sink_)
         sink_->recordSpan(obs::kRefresh, now, until, "REF", "rank", rank);
-        if (cuq_flushed > 0)
-            sink_->record(obs::kCuq, now, "cuq-flush", "rank", rank,
-                          "drained", cuq_flushed);
-    }
 }
 
 Cycle
@@ -372,47 +347,20 @@ DramDevice::issueRfm(RfmScope scope, int alert_bank, Cycle now)
                    : scope == RfmScope::SameBank ? t_.tRFMsb
                                                  : t_.tRFMpb;
     until = now + duration;
-    int cuq_flushed = 0;
     for (int i = 0; i < numBanks(); ++i) {
         if (!covered(i))
             continue;
         QP_ASSERT(banks_[static_cast<std::size_t>(i)].idleAt(now),
                   "RFM requires covered banks to be precharged");
         banks_[static_cast<std::size_t>(i)].block(until);
-        if (!cuq_.empty()) {
-            cuq_flushed += cuq_[static_cast<std::size_t>(i)].occupancy();
-            cuq_[static_cast<std::size_t>(i)].onFlush(until);
-        }
         if (mitigation_)
             mitigation_->onRfm(i, scope, i == alert_bank, now);
     }
     ++stats_.rfms;
-    if (sink_) {
+    if (sink_)
         sink_->recordSpan(obs::kRfm, now, until, "RFM", "scope",
                           static_cast<int>(scope), "bank", alert_bank);
-        if (cuq_flushed > 0)
-            sink_->record(obs::kCuq, now, "cuq-flush", "bank", alert_bank,
-                          "drained", cuq_flushed);
-    }
     return until;
-}
-
-int
-DramDevice::cuqOccupancy() const
-{
-    int sum = 0;
-    for (const CounterUpdateQueue& q : cuq_)
-        sum += q.occupancy();
-    return sum;
-}
-
-CounterUpdateStats
-DramDevice::counterUpdateStats() const
-{
-    CounterUpdateStats sum;
-    for (const CounterUpdateQueue& q : cuq_)
-        sum.add(q.stats());
-    return sum;
 }
 
 void

@@ -17,7 +17,6 @@
 #include "common/types.h"
 #include "dram/address.h"
 #include "dram/bank.h"
-#include "dram/counter_update.h"
 #include "dram/mitigation_iface.h"
 #include "dram/prac_counters.h"
 #include "dram/rank.h"
@@ -55,13 +54,13 @@ class DramDevice
 {
   public:
     /**
-     * @param counter_update subarray-level counter architecture. With
-     *        the default inline mode banks run the PRAC tRAS/tRP split
-     *        and every ACT pays the counter RMW in its precharge —
-     *        bit-identical to the pre-subarray device. Queued/coalesced
-     *        modes revert banks to the conventional split
-     *        (tRAS_base/tRP_base) and route the RMWs through per-bank
-     *        CounterUpdateQueues.
+     * @param counter_update which row-cycle split banks run. With the
+     *        default inline mode banks run the PRAC tRAS/tRP split and
+     *        every ACT pays the counter RMW in its precharge. Queued
+     *        mode reverts banks to the conventional split
+     *        (tRAS_base/tRP_base); construction asserts that the RMW
+     *        (tRP - tRP_base) fits in one conventional row cycle, so it
+     *        always completes before the bank's next ACT.
      */
     DramDevice(const Organization& org, const TimingParams& timing,
                int blast_radius = 2,
@@ -82,12 +81,6 @@ class DramDevice
     const TimingParams& bankTiming() const { return bank_t_; }
     PracCounters& pracCounters() { return counters_; }
     const PracCounters& pracCounters() const { return counters_; }
-    const CounterUpdateConfig& counterUpdateConfig() const
-    {
-        return cu_cfg_;
-    }
-    /** Summed per-bank write-back queue ledger (all-zero inline). */
-    CounterUpdateStats counterUpdateStats() const;
 
     /** Attached mitigation, with any pending ACT notifications flushed. */
     RowhammerMitigation*
@@ -224,9 +217,6 @@ class DramDevice
         return acts_total_ - acts_at_last_service_;
     }
 
-    /** Summed live counter write-back queue occupancy (0 inline). */
-    int cuqOccupancy() const;
-
   private:
     Organization org_;
     TimingParams t_;
@@ -234,12 +224,9 @@ class DramDevice
      * conventional tRAS_base/tRP_base split otherwise. Banks hold a
      * reference to this member. */
     TimingParams bank_t_;
-    CounterUpdateConfig cu_cfg_;
     PracCounters counters_;
     std::vector<Bank> banks_;
     std::vector<RankTiming> rank_timing_;
-    /** Per-bank counter write-back queues (empty in inline mode). */
-    std::vector<CounterUpdateQueue> cuq_;
     RowhammerMitigation* mitigation_ = nullptr;
     obs::EventSink* sink_ = nullptr;
 

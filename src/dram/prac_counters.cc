@@ -7,72 +7,48 @@
 namespace qprac::dram {
 
 PracCounters::PracCounters(int num_banks, int rows_per_bank,
-                           int blast_radius, int subarrays_per_bank)
+                           int blast_radius)
     : num_banks_(num_banks),
       rows_per_bank_(rows_per_bank),
-      blast_radius_(blast_radius),
-      geom_(rows_per_bank, subarrays_per_bank),
-      tiles_(static_cast<std::size_t>(num_banks) *
-             static_cast<std::size_t>(geom_.count()))
+      blast_radius_(blast_radius)
 {
     QP_ASSERT(num_banks > 0 && rows_per_bank > 0 && blast_radius >= 0,
               "invalid PracCounters geometry");
-    for (auto& t : tiles_)
-        t.assign(static_cast<std::size_t>(geom_.rowsPerSubarray()), 0);
+    counts_.reset(static_cast<ActCount*>(
+        std::calloc(static_cast<std::size_t>(num_banks) *
+                        static_cast<std::size_t>(rows_per_bank),
+                    sizeof(ActCount))));
+    QP_ASSERT(counts_ != nullptr, "out of memory for PRAC counters");
 }
 
-std::vector<ActCount>&
-PracCounters::tile(int bank, int subarray)
+std::size_t
+PracCounters::index(int bank, int row) const
 {
     QP_ASSERT(bank >= 0 && bank < num_banks_, "bank out of range");
-    return tiles_[static_cast<std::size_t>(bank) *
-                      static_cast<std::size_t>(geom_.count()) +
-                  static_cast<std::size_t>(subarray)];
-}
-
-const std::vector<ActCount>&
-PracCounters::tile(int bank, int subarray) const
-{
-    QP_ASSERT(bank >= 0 && bank < num_banks_, "bank out of range");
-    return tiles_[static_cast<std::size_t>(bank) *
-                      static_cast<std::size_t>(geom_.count()) +
-                  static_cast<std::size_t>(subarray)];
-}
-
-ActCount&
-PracCounters::cell(int bank, int row)
-{
     QP_ASSERT(row >= 0 && row < rows_per_bank_, "row out of range");
-    return tile(bank, geom_.subarrayOf(row))[static_cast<std::size_t>(
-        row - geom_.firstRow(geom_.subarrayOf(row)))];
-}
-
-const ActCount&
-PracCounters::cell(int bank, int row) const
-{
-    QP_ASSERT(row >= 0 && row < rows_per_bank_, "row out of range");
-    return tile(bank, geom_.subarrayOf(row))[static_cast<std::size_t>(
-        row - geom_.firstRow(geom_.subarrayOf(row)))];
+    return static_cast<std::size_t>(bank) *
+               static_cast<std::size_t>(rows_per_bank_) +
+           static_cast<std::size_t>(row);
 }
 
 ActCount
 PracCounters::onActivate(int bank, int row)
 {
     ++total_acts_;
-    return ++cell(bank, row);
+    return ++counts_[index(bank, row)];
 }
 
 ActCount
 PracCounters::count(int bank, int row) const
 {
-    return cell(bank, row);
+    return counts_[index(bank, row)];
 }
 
 int
 PracCounters::mitigate(int bank, int row, VictimInfo* victims,
                        bool reset_aggressor)
 {
-    QP_ASSERT(row >= 0 && row < rows_per_bank_, "row out of range");
+    const std::size_t aggressor = index(bank, row);
     int written = 0;
     for (int d = 1; d <= blast_radius_; ++d) {
         for (int sign : {-1, +1}) {
@@ -81,10 +57,7 @@ PracCounters::mitigate(int bank, int row, VictimInfo* victims,
                 continue;
             // Mitigative refresh also increments the victim's PRAC
             // counter so transitive (Half-Double) attacks are tracked.
-            // Victims may fall in the neighboring subarray's tile when
-            // the aggressor sits at a tile boundary; cell() routes
-            // across tiles transparently.
-            ActCount c = ++cell(bank, victim);
+            ActCount c = ++counts_[index(bank, victim)];
             ++total_victims_;
             if (victims)
                 victims[written] = {victim, c};
@@ -92,7 +65,7 @@ PracCounters::mitigate(int bank, int row, VictimInfo* victims,
         }
     }
     if (reset_aggressor)
-        cell(bank, row) = 0;
+        counts_[aggressor] = 0;
     ++total_mitigations_;
     return written;
 }
@@ -100,42 +73,22 @@ PracCounters::mitigate(int bank, int row, VictimInfo* victims,
 void
 PracCounters::reset(int bank, int row)
 {
-    cell(bank, row) = 0;
+    counts_[index(bank, row)] = 0;
 }
 
 ActCount
 PracCounters::maxCount(int bank) const
 {
-    ActCount best = 0;
-    for (int sa = 0; sa < geom_.count(); ++sa)
-        best = std::max(best, maxCountInSubarray(bank, sa));
-    return best;
+    return counts_[index(bank, maxRow(bank))];
 }
 
 int
 PracCounters::maxRow(int bank) const
 {
-    // First row with the maximum count, matching the pre-subarray
-    // whole-bank max_element scan exactly.
-    ActCount best = 0;
-    int best_row = 0;
-    for (int sa = 0; sa < geom_.count(); ++sa) {
-        const auto& t = tile(bank, sa);
-        for (std::size_t i = 0; i < t.size(); ++i) {
-            if (t[i] > best) {
-                best = t[i];
-                best_row = geom_.firstRow(sa) + static_cast<int>(i);
-            }
-        }
-    }
-    return best_row;
-}
-
-ActCount
-PracCounters::maxCountInSubarray(int bank, int subarray) const
-{
-    const auto& t = tile(bank, subarray);
-    return *std::max_element(t.begin(), t.end());
+    // First row holding the maximum (row 0 when the bank is all zero).
+    const ActCount* first = counts_.get() + index(bank, 0);
+    return static_cast<int>(
+        std::max_element(first, first + rows_per_bank_) - first);
 }
 
 } // namespace qprac::dram

@@ -1,32 +1,25 @@
 /**
  * @file
- * PRAC per-row activation counters (paper §II-D), stored per subarray.
+ * PRAC per-row activation counters (paper §II-D).
  *
  * One counter per DRAM row per bank, incremented on every ACT of that
  * row and on every mitigative victim refresh (transitive / Half-Double
  * protection, paper §III-C2). Counters are reset when the row is
  * mitigated (the aggressor is re-activated and its counter cleared).
- *
- * Physically the counters live beside the rows they guard: each
- * subarray owns the counter tile for its own row range (PRACtical,
- * arXiv:2507.18581), which is what lets counter write-backs in one
- * subarray overlap accesses in another (see dram/counter_update.h).
- * The (bank, row) API is unchanged — the tiling is a storage layout,
- * not a semantic change — so every configuration of `subarrays` is
- * functionally bit-identical.
+ * Storage is one flat bank-major array per channel.
  */
 #ifndef QPRAC_DRAM_PRAC_COUNTERS_H
 #define QPRAC_DRAM_PRAC_COUNTERS_H
 
 #include <cstdint>
-#include <vector>
+#include <cstdlib>
+#include <memory>
 
 #include "common/types.h"
-#include "dram/subarray.h"
 
 namespace qprac::dram {
 
-/** Per-subarray tiles of PRAC counters plus mitigation bookkeeping. */
+/** Per-row PRAC counters of one channel plus mitigation bookkeeping. */
 class PracCounters
 {
   public:
@@ -35,11 +28,8 @@ class PracCounters
      * @param rows_per_bank rows per bank
      * @param blast_radius victim rows refreshed on each side of an
      *        aggressor during mitigation (paper default BR = 2)
-     * @param subarrays_per_bank counter tiles per bank (power of two;
-     *        1 = the monolithic per-bank array of the base paper)
      */
-    PracCounters(int num_banks, int rows_per_bank, int blast_radius = 2,
-                 int subarrays_per_bank = 1);
+    PracCounters(int num_banks, int rows_per_bank, int blast_radius = 2);
 
     /** Increment on ACT; returns the post-increment count. */
     ActCount onActivate(int bank, int row);
@@ -80,13 +70,9 @@ class PracCounters
     /** Row holding the highest counter value in a bank (scan). */
     int maxRow(int bank) const;
 
-    /** Highest counter value within one subarray's tile (scan). */
-    ActCount maxCountInSubarray(int bank, int subarray) const;
-
     int numBanks() const { return num_banks_; }
     int rowsPerBank() const { return rows_per_bank_; }
     int blastRadius() const { return blast_radius_; }
-    const SubarrayGeometry& geometry() const { return geom_; }
 
     /** Lifetime totals, for energy accounting and tests. */
     std::uint64_t totalActivations() const { return total_acts_; }
@@ -94,17 +80,25 @@ class PracCounters
     std::uint64_t totalVictimRefreshes() const { return total_victims_; }
 
   private:
-    std::vector<ActCount>& tile(int bank, int subarray);
-    const std::vector<ActCount>& tile(int bank, int subarray) const;
-    ActCount& cell(int bank, int row);
-    const ActCount& cell(int bank, int row) const;
+    /** Position of (@p bank, @p row) in counts_ (range-checked). */
+    std::size_t index(int bank, int row) const;
+
+    struct FreeDeleter
+    {
+        void operator()(ActCount* p) const { std::free(p); }
+    };
 
     int num_banks_;
     int rows_per_bank_;
     int blast_radius_;
-    SubarrayGeometry geom_;
-    /** One counter tile per (bank, subarray), bank-major. */
-    std::vector<std::vector<ActCount>> tiles_;
+    /**
+     * rows_per_bank_ counters per bank, bank-major. calloc'd: an array
+     * this large comes straight from the OS as zeroed pages mapped on
+     * first touch, so building a channel writes none of its counters
+     * (32 MiB at the paper's geometry) and a run keeps resident only
+     * the pages its rows touch.
+     */
+    std::unique_ptr<ActCount[], FreeDeleter> counts_;
     std::uint64_t total_acts_ = 0;
     std::uint64_t total_mitigations_ = 0;
     std::uint64_t total_victims_ = 0;

@@ -89,4 +89,28 @@ TimingParams::ddr5NoPrac()
     return t;
 }
 
+const char*
+counterUpdateModeName(CounterUpdateMode mode)
+{
+    switch (mode) {
+      case CounterUpdateMode::Inline:
+        return "inline";
+      case CounterUpdateMode::Queued:
+        return "queued";
+    }
+    return "?";
+}
+
+bool
+parseCounterUpdateMode(const std::string& name, CounterUpdateMode* out)
+{
+    if (name == "inline")
+        *out = CounterUpdateMode::Inline;
+    else if (name == "queued")
+        *out = CounterUpdateMode::Queued;
+    else
+        return false;
+    return true;
+}
+
 } // namespace qprac::dram

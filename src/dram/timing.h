@@ -8,6 +8,8 @@
 #ifndef QPRAC_DRAM_TIMING_H
 #define QPRAC_DRAM_TIMING_H
 
+#include <string>
+
 #include "common/types.h"
 
 namespace qprac::dram {
@@ -52,9 +54,9 @@ struct TimingParams
     // Conventional (counter-RMW-free) row-cycle split. PRAC folds the
     // per-row counter read-modify-write into tRP (and shortens tRAS to
     // compensate); when counter updates are taken off the critical path
-    // (counter-update=queued|coalesced, PRACtical-style) banks revert to
-    // this split and the RMW cost tRP - tRP_base is paid by the
-    // write-back queue instead. 0 means "same as tRAS/tRP" (no
+    // (counter-update=queued, PRACtical-style) banks revert to this
+    // split and the RMW, tRP - tRP_base, runs while the bank waits out
+    // its next row cycle. 0 means "same as tRAS/tRP" (no
     // off-critical-path headroom to recover).
     int tRAS_base = 0; ///< ACT -> PRE without the inline counter RMW
     int tRP_base = 0;  ///< PRE -> ACT without the inline counter RMW
@@ -80,6 +82,31 @@ struct TimingParams
 
     /** Conventional DDR5 timings (used for Mithril/PrIDE in Fig 20). */
     static TimingParams ddr5NoPrac();
+};
+
+/**
+ * How ACT-driven PRAC counter updates reach the counter array (scenario
+ * key `counter-update`). The counter value always commits at ACT, so
+ * mitigation decisions are identical in both modes; the mode only
+ * selects the row-cycle split banks run.
+ */
+enum class CounterUpdateMode
+{
+    Inline, ///< paper-faithful PRAC: the RMW inside every precharge
+    Queued, ///< RMW off the row cycle: conventional tRAS_base/tRP_base
+};
+
+/** Short lowercase name ("inline", "queued"). */
+const char* counterUpdateModeName(CounterUpdateMode mode);
+
+/** Parse a mode name; returns false on unknown names. */
+bool parseCounterUpdateMode(const std::string& name,
+                            CounterUpdateMode* out);
+
+/** The counter-update axis of a device (PRACtical, arXiv:2507.18581). */
+struct CounterUpdateConfig
+{
+    CounterUpdateMode mode = CounterUpdateMode::Inline;
 };
 
 } // namespace qprac::dram

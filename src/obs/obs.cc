@@ -15,7 +15,7 @@ namespace qprac::obs {
 namespace {
 
 constexpr const char* kCategoryNames[kNumCategories] = {
-    "cmd", "refresh", "abo", "rfm", "recovery", "psq", "cuq", "attack",
+    "cmd", "refresh", "abo", "rfm", "recovery", "psq", "attack",
 };
 
 int
@@ -67,7 +67,7 @@ parseCategoryMask(const std::string& text, std::uint32_t* mask,
             if (err)
                 *err = strCat("unknown trace category '", tok,
                               "' (expected off|all|",
-                              "cmd,refresh,abo,rfm,recovery,psq,cuq,attack)");
+                              "cmd,refresh,abo,rfm,recovery,psq,attack)");
             return false;
         }
         pos = comma + 1;
@@ -183,7 +183,7 @@ const std::vector<std::string>&
 metricsTrackNames()
 {
     static const std::vector<std::string> tracks = {
-        "psq_occupancy", "max_prac_count", "raa", "cuq_depth", "read_queue",
+        "psq_occupancy", "max_prac_count", "raa", "read_queue",
     };
     return tracks;
 }

@@ -46,12 +46,11 @@ enum Category : std::uint32_t
     kRfm = 1u << 3,      ///< RFM commands (alert pumps + policy RFMs)
     kRecovery = 1u << 4, ///< per-bank recovery machine transitions
     kPsq = 1u << 5,      ///< PSQ service events (mitigation side)
-    kCuq = 1u << 6,      ///< counter-update queue stalls/flushes
-    kAttack = 1u << 7,   ///< attack-driver events (probe latencies)
+    kAttack = 1u << 6,   ///< attack-driver events (probe latencies)
 };
 
-inline constexpr int kNumCategories = 8;
-inline constexpr std::uint32_t kAllCategories = 0xffu;
+inline constexpr int kNumCategories = 7;
+inline constexpr std::uint32_t kAllCategories = 0x7fu;
 
 /** Name of one category bit (index 0..kNumCategories-1). */
 const char* categoryName(int index);

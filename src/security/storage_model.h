@@ -40,7 +40,10 @@ double catBytes(int trh);
 /** The full Table IV row set at a given TRH. */
 std::vector<TrackerStorage> storageTable(int trh);
 
-// --- Subarray counter architecture (dram/counter_update.h) ------------
+// --- Off-row-cycle counter updates (PRACtical, arXiv:2507.18581) -----
+// Hardware cost of the write-back path that counter-update=queued
+// assumes. The simulator models only its timing effect, the
+// conventional tRAS/tRP split (bankTimingFor in dram/dram_device.cc).
 
 /**
  * Per-bank SRAM of the counter write-back queue: queue_depth entries
@@ -59,7 +62,7 @@ double counterUpdateQueueBytes(int queue_depth, int rows_per_bank,
 double subarrayLatchBytes(int subarrays, int rows_per_bank, int trh);
 
 /**
- * Per-bank storage of the whole queued/coalesced counter update path
+ * Per-bank storage of the whole queued counter update path
  * (queue + latches), beside the inline baseline (one latch, no queue)
  * for the Table IV-style comparison.
  */

@@ -79,8 +79,8 @@ struct ExperimentConfig
     int channels = 1;
     int ranks = 2;
     dram::MappingScheme mapping = dram::MappingScheme::RoRaBgBaCo;
-    /** Subarray-level counter architecture (scenario keys subarrays= /
-     * counter-update= / cuq_depth=); inline default = paper-faithful. */
+    /** Counter-update mode (scenario key counter-update=); the inline
+     * default is paper-faithful. */
     dram::CounterUpdateConfig counter_update;
     /**
      * Scaled-LLC methodology: short runs touch far fewer distinct lines

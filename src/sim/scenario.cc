@@ -318,20 +318,14 @@ scenarioKeyTable()
         {"skip", H::Neutral, nullptr,
          "engine: next-event cycle skipping in shards (auto|on|off)",
          toggleField(&EngineOptions::skip)},
-        {"subarrays", H::UnlessInline, nullptr,
-         "subarrays per bank (counter tiles)",
-         powerOfTwoField(&C::subarrays, 1024)},
         {"counter-update", H::UnlessInline, nullptr,
-         "PRAC counter write-back: inline, queued, coalesced",
+         "PRAC counter RMW: inline (in tRP) or queued (off the row cycle)",
          enumField(&C::counter_update, dram::parseCounterUpdateMode,
                    dram::counterUpdateModeName,
-                   "expected inline, queued or coalesced")},
-        {"cuq_depth", H::UnlessInline, nullptr,
-         "per-bank counter write-back queue depth",
-         intField(&C::cuq_depth, 1, 4096)},
+                   "expected inline or queued")},
         {"trace", H::Neutral, nullptr,
          "event tracing: off, all or a comma list of cmd,refresh,abo,rfm,"
-         "recovery,psq,cuq,attack",
+         "recovery,psq,attack",
          valueField(&C::trace, parseTraceValue, asIs)},
         {"trace-out", H::Neutral, nullptr,
          "trace file (empty: qprac_trace-<hash>.json; .csv: CSV)",
@@ -525,8 +519,6 @@ ScenarioConfig::experiment() const
     if (!dram::parseCounterUpdateMode(counter_update,
                                       &e.counter_update.mode))
         fatal(strCat("bad counter-update mode '", counter_update, "'"));
-    e.counter_update.subarrays = subarrays;
-    e.counter_update.queue_depth = cuq_depth;
     return e;
 }
 
@@ -891,8 +883,8 @@ registerRecoveryAttacks(ScenarioRegistry& reg)
     const std::vector<std::string> keys = {
         "recovery", "channels", "ranks",   "mitigation",
         "backend",  "psq_size", "nbo",     "nmit",
-        "mapping",  "attack_cycles", "counter-update", "subarrays",
-        "cuq_depth", "skip", "trace", "trace-out", "metrics-interval"};
+        "mapping",  "attack_cycles", "counter-update", "skip",
+        "trace",    "trace-out", "metrics-interval"};
     reg.registerAttack(
         "rfm-probe",
         "cross-bank/cross-channel recovery timing channel "

@@ -107,20 +107,12 @@ struct ScenarioConfig
     EngineOptions engine;
 
     // --- counter architecture ------------------------------------------
-    /** Subarrays per bank: a pure storage layout with inline updates;
-     * with queued/coalesced updates the parallel write-back slots an
-     * ACT shadows. */
-    int subarrays = 64;
     /**
-     * How ACT-driven PRAC counter updates commit physically:
-     * "inline" (paper-faithful, the RMW inside every precharge),
-     * "queued" (per-bank write-back queue, conventional tRC) or
-     * "coalesced" (queued + same-row merge). See dram/counter_update.h.
+     * Where the PRAC counter RMW is paid: "inline" (paper-faithful,
+     * inside every precharge) or "queued" (off the row cycle, banks run
+     * the conventional tRAS/tRP split). See dram/timing.h.
      */
     std::string counter_update = "inline";
-    /** Per-bank counter write-back queue depth (counter-update !=
-     * inline; a full queue falls back to an inline stall). */
-    int cuq_depth = 16;
 
     // --- observability (result-neutral, hash-excluded) -----------------
     /** Event-trace category set (obs/obs.h). Like the engine keys,

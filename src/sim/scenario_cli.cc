@@ -238,8 +238,7 @@ profileReport(const ScenarioResult& res, unsigned sections)
         const bool skipped_ran =
             sk.cycles_skipped != 0 || sk.wakes_command != 0 ||
             sk.wakes_refresh != 0 || sk.wakes_recovery != 0 ||
-            sk.wakes_cuq != 0 || sk.wakes_mailbox != 0 ||
-            sk.wakes_epoch != 0;
+            sk.wakes_mailbox != 0 || sk.wakes_epoch != 0;
         if (!skipped_ran) {
             out += "cycle skipping disabled for this run (skip=off, a\n"
                    "cache hit, or an attack family with no memory\n"
@@ -266,8 +265,6 @@ profileReport(const ScenarioResult& res, unsigned sections)
             t.addRow(
                 {"wakes: recovery",
                  Table::num(static_cast<double>(sk.wakes_recovery), 0)});
-            t.addRow({"wakes: cuq-drain",
-                      Table::num(static_cast<double>(sk.wakes_cuq), 0)});
             t.addRow(
                 {"wakes: mailbox",
                  Table::num(static_cast<double>(sk.wakes_mailbox), 0)});
@@ -520,7 +517,6 @@ sweepJson(const ScenarioConfig& base,
         w.key("command_ready").value(sk.wakes_command);
         w.key("refresh").value(sk.wakes_refresh);
         w.key("recovery").value(sk.wakes_recovery);
-        w.key("cuq_drain").value(sk.wakes_cuq);
         w.key("mailbox").value(sk.wakes_mailbox);
         w.key("epoch_boundary").value(sk.wakes_epoch);
         w.endObject();

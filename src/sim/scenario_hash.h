@@ -12,10 +12,10 @@
  *    pins thread counts, the v1/v2 schedule and cycle skipping as
  *    bit-identical) and the observability keys (src/obs records at
  *    state-change points and never perturbs simulation state).
- *  - UnlessInline keys (the counter architecture) serialize only when
- *    `counter-update` is not `inline`: inline updates make them
- *    result-neutral storage layout, and omitting them keeps every
- *    pre-subarray cache entry valid.
+ *  - UnlessInline keys (today only `counter-update` itself) serialize
+ *    only when `counter-update` is not `inline`, so an explicit
+ *    `counter-update=inline` keeps the hash of a config that never
+ *    names it.
  *  - A fixed `corepar=off` line follows the Result keys. It is not a
  *    key: the threaded-core engine it named is gone, and the line stays
  *    so every existing hash and cache sidecar keeps its value.

@@ -104,8 +104,8 @@ struct SystemConfig
     cpu::CoreConfig core;
     int num_cores = 4;
     int blast_radius = 2;
-    /** Subarray-level counter architecture (dram/counter_update.h).
-     * The inline default is bit-identical to the pre-subarray system. */
+    /** Counter-update mode: the row-cycle split banks run
+     * (dram/timing.h). Inline is the paper's PRAC timing. */
     dram::CounterUpdateConfig counter_update;
     Cycle max_cycles = 500'000'000;
     /**

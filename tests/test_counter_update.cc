@@ -1,36 +1,32 @@
 /**
  * @file
- * Subarray-level counter architecture (dram/subarray.h,
- * dram/counter_update.h) and its scenario plumbing.
+ * The counter-update axis (dram/timing.h) and its scenario plumbing.
  *
  * The load-bearing contracts:
- *  - counter-update=inline is bit-identical to the pre-subarray
- *    simulator: same result JSON, no counter_update stats exported,
- *    subarrays/cuq_depth spellings result-neutral.
- *  - Queued/coalesced modes never lose a counter increment: every ACT
- *    either enqueues (possibly merging) or pays an inline stall, and
- *    every enqueued increment is accounted to exactly one drain
- *    channel or still pending — checked as conservation ledgers both
- *    at the unit level and over a full simulation.
- *  - A full queue stalls the activating bank (Bank::stallRowCycle),
- *    it never drops the increment.
+ *  - counter-update=inline is the paper's PRAC timing: same result
+ *    JSON whether or not a config names the key, and no
+ *    counter-update stats in the document.
+ *  - counter-update=queued only switches banks to the conventional
+ *    tRAS/tRP split. The device refuses timings whose counter RMW
+ *    (tRP - tRP_base) would not fit in one conventional row cycle,
+ *    because only then can no ACT ever wait on a write-back.
+ *  - Two queued result documents are pinned by hash, so any change to
+ *    queued timing shows up as a test failure.
  */
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
-#include "dram/counter_update.h"
-#include "dram/subarray.h"
+#include "dram/dram_device.h"
 #include "dram/timing.h"
 #include "sim/scenario.h"
+#include "sim/scenario_hash.h"
 
 using namespace qprac;
 using dram::CounterUpdateConfig;
 using dram::CounterUpdateMode;
-using dram::CounterUpdateQueue;
-using dram::CounterUpdateStats;
-using dram::SubarrayGeometry;
 using sim::ScenarioConfig;
 using sim::ScenarioResult;
 
@@ -49,23 +45,13 @@ simConfig(const std::string& mode)
     return cfg;
 }
 
-/** enqueued+stalls accounts every ACT; every increment lands once. */
-void
-expectConserved(const CounterUpdateStats& s, std::uint64_t acts)
-{
-    EXPECT_EQ(s.enqueued + s.stalls, acts);
-    EXPECT_EQ(s.enqueued, s.drained_idle + s.drained_act +
-                              s.drained_flush + s.pending);
-}
-
 } // namespace
 
 // --- Mode names --------------------------------------------------------
 
 TEST(CounterUpdateMode, NamesRoundTrip)
 {
-    for (auto mode : {CounterUpdateMode::Inline, CounterUpdateMode::Queued,
-                      CounterUpdateMode::Coalesced}) {
+    for (auto mode : {CounterUpdateMode::Inline, CounterUpdateMode::Queued}) {
         CounterUpdateMode parsed;
         ASSERT_TRUE(dram::parseCounterUpdateMode(
             dram::counterUpdateModeName(mode), &parsed));
@@ -73,176 +59,8 @@ TEST(CounterUpdateMode, NamesRoundTrip)
     }
     CounterUpdateMode parsed;
     EXPECT_FALSE(dram::parseCounterUpdateMode("batched", &parsed));
+    EXPECT_FALSE(dram::parseCounterUpdateMode("coalesced", &parsed));
     EXPECT_FALSE(dram::parseCounterUpdateMode("", &parsed));
-}
-
-// --- Subarray geometry -------------------------------------------------
-
-TEST(SubarrayGeometry, MapsRowsToTiles)
-{
-    const SubarrayGeometry g(1024, 4);
-    EXPECT_EQ(g.count(), 4);
-    EXPECT_EQ(g.rowsPerSubarray(), 256);
-    EXPECT_EQ(g.rowsPerBank(), 1024);
-    EXPECT_EQ(g.subarrayOf(0), 0);
-    EXPECT_EQ(g.subarrayOf(255), 0);
-    EXPECT_EQ(g.subarrayOf(256), 1);
-    EXPECT_EQ(g.subarrayOf(1023), 3);
-    EXPECT_EQ(g.firstRow(2), 512);
-    EXPECT_TRUE(g.sameSubarray(512, 767));
-    EXPECT_FALSE(g.sameSubarray(511, 512));
-}
-
-TEST(SubarrayGeometry, MoreSubarraysThanRowsClampsToOneRowTiles)
-{
-    const SubarrayGeometry g(256, 1024);
-    EXPECT_EQ(g.rowsPerSubarray(), 1);
-    EXPECT_EQ(g.count(), 256);
-    EXPECT_EQ(g.subarrayOf(17), 17);
-}
-
-TEST(SubarrayGeometry, MonolithicBankAcceptsAnyRowCount)
-{
-    // subarrays=1 is the pre-subarray layout and must not require a
-    // power-of-two row count.
-    const SubarrayGeometry g(300, 1);
-    EXPECT_EQ(g.count(), 1);
-    EXPECT_EQ(g.rowsPerSubarray(), 300);
-    EXPECT_EQ(g.subarrayOf(299), 0);
-}
-
-// --- Write-back queue unit semantics -----------------------------------
-
-namespace {
-
-CounterUpdateQueue
-makeQueue(CounterUpdateMode mode, int subarrays, int depth,
-          Cycle drain = 64, int rows = 1024)
-{
-    CounterUpdateConfig cfg;
-    cfg.mode = mode;
-    cfg.subarrays = subarrays;
-    cfg.queue_depth = depth;
-    return CounterUpdateQueue(cfg, SubarrayGeometry(rows, subarrays),
-                              drain);
-}
-
-} // namespace
-
-TEST(CounterUpdateQueue, IdleGapDrainsOneEntryPerDrainPeriod)
-{
-    CounterUpdateQueue q = makeQueue(CounterUpdateMode::Queued, 1, 16);
-    EXPECT_EQ(q.onActivate(0, 100), 0);
-    EXPECT_EQ(q.occupancy(), 1);
-    // 64 idle cycles retire exactly the one pending write-back.
-    EXPECT_EQ(q.onActivate(1, 164), 0);
-    const CounterUpdateStats s = q.stats();
-    EXPECT_EQ(s.drained_idle, 1u);
-    EXPECT_EQ(q.occupancy(), 1); // row 1 newly pending
-    expectConserved(s, 2);
-}
-
-TEST(CounterUpdateQueue, ShortGapKeepsTheEntryPending)
-{
-    CounterUpdateQueue q = makeQueue(CounterUpdateMode::Queued, 1, 16);
-    q.onActivate(0, 100);
-    q.onActivate(1, 163); // one cycle short of the drain period
-    EXPECT_EQ(q.stats().drained_idle, 0u);
-    EXPECT_EQ(q.occupancy(), 2);
-}
-
-TEST(CounterUpdateQueue, ActShadowRetiresOtherSubarraysForFree)
-{
-    // 4 subarrays x 256 rows; rows 0 and 1 stage in subarray 0.
-    CounterUpdateQueue q = makeQueue(CounterUpdateMode::Queued, 4, 16);
-    q.onActivate(0, 100);
-    q.onActivate(1, 101);
-    EXPECT_EQ(q.occupancy(), 2);
-    // An ACT in subarray 2 shadows one retire slot per *other*
-    // subarray: exactly one of the two subarray-0 entries goes.
-    q.onActivate(512, 102);
-    CounterUpdateStats s = q.stats();
-    EXPECT_EQ(s.drained_act, 1u);
-    EXPECT_EQ(q.occupancy(), 2); // row 1 + row 512
-    // A same-subarray ACT shadows nothing of its own subarray: the
-    // row-512 entry (subarray 2) survives an ACT to row 513.
-    q.onActivate(513, 103);
-    s = q.stats();
-    EXPECT_EQ(s.drained_act, 2u); // ...but it retires the subarray-0 one
-    expectConserved(s, 4);
-}
-
-TEST(CounterUpdateQueue, CoalescedMergesSameRowIncrements)
-{
-    CounterUpdateQueue q = makeQueue(CounterUpdateMode::Coalesced, 1, 16);
-    q.onActivate(7, 100);
-    q.onActivate(7, 101);
-    q.onActivate(7, 102);
-    const CounterUpdateStats s = q.stats();
-    EXPECT_EQ(q.occupancy(), 1); // one entry, count 3
-    EXPECT_EQ(s.enqueued, 3u);
-    EXPECT_EQ(s.coalesced, 2u);
-    EXPECT_EQ(s.pending, 3u); // merged increments both still owed
-    expectConserved(s, 3);
-}
-
-TEST(CounterUpdateQueue, QueuedModeNeverMerges)
-{
-    CounterUpdateQueue q = makeQueue(CounterUpdateMode::Queued, 1, 16);
-    q.onActivate(7, 100);
-    q.onActivate(7, 101);
-    EXPECT_EQ(q.occupancy(), 2);
-    EXPECT_EQ(q.stats().coalesced, 0u);
-}
-
-TEST(CounterUpdateQueue, FullQueueStallsInsteadOfDropping)
-{
-    CounterUpdateQueue q = makeQueue(CounterUpdateMode::Queued, 1, 1);
-    EXPECT_EQ(q.onActivate(0, 100), 0);
-    // One cycle later nothing drained and the queue is full: the ACT
-    // pays the inline RMW (a drain-period stall) and the increment is
-    // committed synchronously — NOT enqueued, NOT dropped.
-    EXPECT_EQ(q.onActivate(1, 101), 64);
-    const CounterUpdateStats s = q.stats();
-    EXPECT_EQ(s.stalls, 1u);
-    EXPECT_EQ(s.enqueued, 1u);
-    EXPECT_EQ(q.occupancy(), 1);
-    expectConserved(s, 2);
-}
-
-TEST(CounterUpdateQueue, FlushRetiresEverythingPending)
-{
-    CounterUpdateQueue q = makeQueue(CounterUpdateMode::Coalesced, 4, 16);
-    q.onActivate(0, 100);
-    q.onActivate(0, 101);
-    q.onActivate(1, 102);
-    q.onFlush(5'000); // REF/RFM shadow write-back
-    const CounterUpdateStats s = q.stats();
-    EXPECT_EQ(q.occupancy(), 0);
-    EXPECT_EQ(s.pending, 0u);
-    EXPECT_EQ(s.drained_flush + s.drained_idle + s.drained_act,
-              s.enqueued);
-    // The port does not retroactively drain the covered window.
-    q.onActivate(2, 5'001);
-    EXPECT_EQ(q.occupancy(), 1);
-}
-
-TEST(CounterUpdateQueue, ConservationHoldsUnderRandomishTraffic)
-{
-    // A deterministic mixed pattern: bursts, repeats, flushes — the
-    // ledger must balance after every step (the satellite-1 property).
-    CounterUpdateQueue q = makeQueue(CounterUpdateMode::Coalesced, 4, 3);
-    std::uint64_t acts = 0;
-    Cycle now = 0;
-    for (int i = 0; i < 500; ++i) {
-        now += (i % 7 == 0) ? 200 : 3; // mostly sub-drain-period gaps
-        q.onActivate((i * 37) % 1024, now);
-        ++acts;
-        if (i % 97 == 0)
-            q.onFlush(now + 1'000);
-        expectConserved(q.stats(), acts);
-    }
-    EXPECT_GT(q.stats().stalls, 0u) << "pattern too gentle to saturate";
 }
 
 // --- Device-level timing headroom --------------------------------------
@@ -256,53 +74,56 @@ TEST(CounterUpdateTiming, PracSplitCarriesConventionalBase)
     EXPECT_GT(t.tRP, t.tRP_base);
     EXPECT_LT(t.tRAS, t.tRAS_base);
     EXPECT_GT(t.tRAS + t.tRP, t.tRAS_base + t.tRP_base);
+    // The RMW (20ns) fits in one conventional row cycle (48ns).
+    EXPECT_LE(t.tRP - t.tRP_base, t.tRAS_base + t.tRP_base);
     const auto np = dram::TimingParams::ddr5NoPrac();
     EXPECT_EQ(np.tRAS, np.tRAS_base);
     EXPECT_EQ(np.tRP, np.tRP_base);
+}
+
+TEST(CounterUpdateTiming, QueuedNeedsTheRmwToFitOneRowCycle)
+{
+    const auto org = dram::Organization::tiny();
+    CounterUpdateConfig queued;
+    queued.mode = CounterUpdateMode::Queued;
+    // Both presets construct, and queued banks run the base split.
+    for (const auto& t : {dram::TimingParams::ddr5Prac(),
+                          dram::TimingParams::ddr5NoPrac()}) {
+        dram::DramDevice dev(org, t, 2, queued);
+        EXPECT_EQ(dev.bankTiming().tRAS, t.tRAS_base);
+        EXPECT_EQ(dev.bankTiming().tRP, t.tRP_base);
+        EXPECT_EQ(dev.bankTiming().tRC, t.tRAS_base + t.tRP_base);
+    }
+    // An RMW longer than the conventional row cycle could hold up the
+    // bank's next ACT, which the split alone does not model.
+    dram::TimingParams slow = dram::TimingParams::ddr5Prac();
+    slow.tRP = slow.tRP_base + slow.tRAS_base + slow.tRP_base + 1;
+    slow.tRC = slow.tRAS + slow.tRP;
+    EXPECT_DEATH(dram::DramDevice(org, slow, 2, queued),
+                 "conventional row cycle");
+    // Inline devices never take the split, so the check does not apply.
+    dram::DramDevice inline_dev(org, slow);
+    EXPECT_EQ(inline_dev.bankTiming().tRP, slow.tRP);
 }
 
 // --- Full-simulation contracts -----------------------------------------
 
 TEST(CounterUpdateSim, InlineIsBitIdenticalAndExportsNoQueueStats)
 {
-    // The golden-pin contract: inline mode must not change a byte of
-    // the result document, whatever the storage-layout spellings say.
+    // The golden-pin contract: spelling out the inline default must not
+    // change a byte of the result document.
     ScenarioConfig plain = simConfig("inline");
-    ScenarioConfig spelled = simConfig("inline");
+    ScenarioConfig unnamed;
     std::string err;
-    ASSERT_TRUE(spelled.set("subarrays", "128", &err)) << err;
-    ASSERT_TRUE(spelled.set("cuq_depth", "64", &err)) << err;
+    ASSERT_TRUE(unnamed.set("source", "workload:429.mcf", &err)) << err;
+    unnamed.cores = plain.cores;
+    unnamed.insts = plain.insts;
+    unnamed.llc_mb = plain.llc_mb;
     const std::string a = sim::runScenario(plain, 1).resultJson();
-    const std::string b = sim::runScenario(spelled, 1).resultJson();
+    const std::string b = sim::runScenario(unnamed, 1).resultJson();
     EXPECT_EQ(a, b);
     EXPECT_EQ(a.find("counter_update"), std::string::npos)
-        << "inline result document polluted with queue stats";
-}
-
-TEST(CounterUpdateSim, QueuedLedgerConservesEveryActIncrement)
-{
-    for (const char* mode : {"queued", "coalesced"}) {
-        ScenarioConfig cfg = simConfig(mode);
-        ScenarioResult res = sim::runScenario(cfg, 1);
-        const auto& st = res.sim.stats;
-        const auto stat = [&](const char* key) {
-            return static_cast<std::uint64_t>(
-                st.getOr(std::string("dram.counter_update.") + key, 0));
-        };
-        CounterUpdateStats s;
-        s.enqueued = stat("enqueued");
-        s.coalesced = stat("coalesced");
-        s.drained_idle = stat("drained_idle");
-        s.drained_act = stat("drained_act");
-        s.drained_flush = stat("drained_flush");
-        s.stalls = stat("stalls");
-        s.pending = stat("pending");
-        const auto acts =
-            static_cast<std::uint64_t>(st.getOr("dram.acts", 0));
-        EXPECT_GT(acts, 0u) << mode;
-        EXPECT_GT(s.enqueued, 0u) << mode;
-        expectConserved(s, acts);
-    }
+        << "inline result document polluted with counter-update stats";
 }
 
 TEST(CounterUpdateSim, QueuedRecoversRowCycleThroughput)
@@ -318,29 +139,40 @@ TEST(CounterUpdateSim, QueuedRecoversRowCycleThroughput)
     EXPECT_LT(b.sim.cycles, a.sim.cycles);
 }
 
-TEST(CounterUpdateSim, TinyQueueStillLosesNothing)
+TEST(CounterUpdateSim, QueuedResultDocumentsArePinned)
 {
-    // Satellite 1 at system scale: depth 1, one subarray — the most
-    // saturation-prone shape — still conserves every increment.
-    ScenarioConfig cfg = simConfig("queued");
+    // FNV-1a of two queued result documents, so any change to queued
+    // timing moves a hash. The values were first taken from a model
+    // with a per-bank write-back queue (its ledger stats removed): the
+    // bank split alone reproduces every cycle of it.
+    ScenarioConfig mcf = simConfig("queued");
     std::string err;
-    ASSERT_TRUE(cfg.set("subarrays", "1", &err)) << err;
-    ASSERT_TRUE(cfg.set("cuq_depth", "1", &err)) << err;
-    ScenarioResult res = sim::runScenario(cfg, 1);
-    const auto& st = res.sim.stats;
-    const auto stat = [&](const char* key) {
-        return static_cast<std::uint64_t>(
-            st.getOr(std::string("dram.counter_update.") + key, 0));
-    };
-    CounterUpdateStats s;
-    s.enqueued = stat("enqueued");
-    s.drained_idle = stat("drained_idle");
-    s.drained_act = stat("drained_act");
-    s.drained_flush = stat("drained_flush");
-    s.stalls = stat("stalls");
-    s.pending = stat("pending");
-    expectConserved(
-        s, static_cast<std::uint64_t>(st.getOr("dram.acts", 0)));
+    for (const auto& [key, value] :
+         std::vector<std::pair<const char*, const char*>>{
+             {"insts", "20000"},
+             {"channels", "2"},
+             {"mapping", "channel-striped"},
+             {"recovery", "bank-isolated"}})
+        ASSERT_TRUE(mcf.set(key, value, &err)) << err;
+    ScenarioConfig dos;
+    for (const auto& [key, value] :
+         std::vector<std::pair<const char*, const char*>>{
+             {"source", "attack:recovery-dos"},
+             {"counter-update", "queued"},
+             {"nbo", "8"},
+             {"attack_cycles", "40000"}})
+        ASSERT_TRUE(dos.set(key, value, &err)) << err;
+
+    const ScenarioResult mcf_res = sim::runScenario(mcf, 1);
+    const ScenarioResult dos_res = sim::runScenario(dos, 1);
+    EXPECT_GT(mcf_res.sim.acts, 0u);
+    EXPECT_GT(dos_res.stats.getOr("attack.alerts", 0), 0.0)
+        << "recovery-dos point not alert-active";
+    const std::string mcf_doc = mcf_res.resultJson();
+    const std::string dos_doc = dos_res.resultJson();
+    EXPECT_EQ(mcf_doc.find("counter_update"), std::string::npos);
+    EXPECT_EQ(sim::fnv1a64(mcf_doc), 0x95876b299a5fe968ULL) << mcf_doc;
+    EXPECT_EQ(sim::fnv1a64(dos_doc), 0x135ffcd8f5a84d2aULL) << dos_doc;
 }
 
 TEST(CounterUpdateSim, KeysValidateAndRoundTrip)
@@ -348,20 +180,25 @@ TEST(CounterUpdateSim, KeysValidateAndRoundTrip)
     ScenarioConfig cfg;
     std::string err;
     EXPECT_EQ(cfg.get("counter-update"), "inline");
-    EXPECT_EQ(cfg.get("subarrays"), "64");
-    EXPECT_EQ(cfg.get("cuq_depth"), "16");
     EXPECT_FALSE(cfg.set("counter-update", "batched", &err));
-    EXPECT_FALSE(cfg.set("subarrays", "3", &err)); // not a power of two
-    EXPECT_FALSE(cfg.set("subarrays", "2048", &err));
-    EXPECT_FALSE(cfg.set("cuq_depth", "0", &err));
-    ASSERT_TRUE(cfg.set("counter-update", "coalesced", &err)) << err;
-    ASSERT_TRUE(cfg.set("subarrays", "128", &err)) << err;
-    ASSERT_TRUE(cfg.set("cuq_depth", "8", &err)) << err;
+    // The retired queue-model spellings are errors, not aliases: the
+    // mode is an unknown value and its knobs are unknown keys.
+    EXPECT_FALSE(cfg.set("counter-update", "coalesced", &err));
+    EXPECT_EQ(err.rfind("counter-update='coalesced': ", 0), 0u) << err;
+    for (const char* key : {"subarrays", "cuq_depth"}) {
+        EXPECT_FALSE(cfg.set(key, "16", &err)) << key;
+        EXPECT_NE(err.find("unknown config key"), std::string::npos)
+            << err;
+    }
+    ASSERT_TRUE(cfg.set("counter-update", "queued", &err)) << err;
     ASSERT_TRUE(cfg.validate(&err)) << err;
     ScenarioConfig parsed;
     ASSERT_TRUE(ScenarioConfig::fromIniText(cfg.toIni(), &parsed, &err))
         << err;
-    EXPECT_EQ(parsed.get("counter-update"), "coalesced");
-    EXPECT_EQ(parsed.get("subarrays"), "128");
-    EXPECT_EQ(parsed.get("cuq_depth"), "8");
+    EXPECT_EQ(parsed.get("counter-update"), "queued");
+    // An INI line naming a retired key fails like any unknown key.
+    for (const char* line : {"subarrays = 64\n", "cuq_depth = 16\n"})
+        EXPECT_FALSE(ScenarioConfig::fromIniText(cfg.toIni() + line,
+                                                 &parsed, &err))
+            << line;
 }

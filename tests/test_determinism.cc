@@ -207,28 +207,24 @@ TEST(Determinism, RecoveryAttacksUnaffectedByThreadBudget)
     }
 }
 
-// --- Subarray counter architecture (dram/counter_update) --------------
+// --- Counter-update modes (dram/timing.h) ------------------------------
 
 TEST(Determinism, QueuedCounterUpdatesBitIdenticalAcrossEngines)
 {
-    // The per-bank write-back queues live entirely inside the owning
-    // shard and advance only at command time, so queued/coalesced runs
-    // must be bit-identical across thread budgets, engine schedules
-    // and channel counts — same bar as every other subsystem.
-    for (const char* mode : {"queued", "coalesced"}) {
-        for (int channels : {1, 2}) {
-            for (const char* pipeline : {"off", "on"}) {
-                ScenarioConfig cfg = baseConfig(channels, "429.mcf");
-                std::string err;
-                ASSERT_TRUE(cfg.set("counter-update", mode, &err)) << err;
-                ASSERT_TRUE(cfg.set("pipeline", pipeline, &err)) << err;
-                const std::string serial = runWithThreads(cfg, 1);
-                for (int threads : {2, 4})
-                    EXPECT_EQ(serial, runWithThreads(cfg, threads))
-                        << mode << " channels=" << channels
-                        << " pipeline=" << pipeline
-                        << " threads=" << threads;
-            }
+    // Queued updates change only the banks' row-cycle split, so queued
+    // runs must be bit-identical across thread budgets, engine
+    // schedules and channel counts — same bar as every other subsystem.
+    for (int channels : {1, 2}) {
+        for (const char* pipeline : {"off", "on"}) {
+            ScenarioConfig cfg = baseConfig(channels, "429.mcf");
+            std::string err;
+            ASSERT_TRUE(cfg.set("counter-update", "queued", &err)) << err;
+            ASSERT_TRUE(cfg.set("pipeline", pipeline, &err)) << err;
+            const std::string serial = runWithThreads(cfg, 1);
+            for (int threads : {2, 4})
+                EXPECT_EQ(serial, runWithThreads(cfg, threads))
+                    << "channels=" << channels << " pipeline=" << pipeline
+                    << " threads=" << threads;
         }
     }
 }
@@ -246,19 +242,19 @@ TEST(Determinism, QueuedCounterUpdatesActuallyChangeTheSimulation)
               runWithThreads(queued_cfg, 1));
 }
 
-TEST(Determinism, RecoveryAttacksUnderCoalescedCounterUpdates)
+TEST(Determinism, RecoveryAttacksUnderQueuedCounterUpdates)
 {
-    // Satellite rerun of the PR 5 attack suite on the new counter
-    // architecture: still thread-budget independent, and the leakage /
-    // DoS observables must actually be measured (non-empty probe
-    // phases) under coalesced updates.
+    // The recovery attack suite on the conventional row-cycle split:
+    // still thread-budget independent, and the leakage / DoS
+    // observables must actually be measured (non-empty probe phases)
+    // under queued updates.
     for (const char* source : {"attack:rfm-probe", "attack:recovery-dos"}) {
         ScenarioConfig cfg;
         std::string err;
         ASSERT_TRUE(cfg.set("source", source, &err)) << err;
         ASSERT_TRUE(cfg.set("channels", "2", &err)) << err;
         ASSERT_TRUE(cfg.set("recovery", "bank-isolated", &err)) << err;
-        ASSERT_TRUE(cfg.set("counter-update", "coalesced", &err)) << err;
+        ASSERT_TRUE(cfg.set("counter-update", "queued", &err)) << err;
         ASSERT_TRUE(cfg.set("attack_cycles", "40000", &err)) << err;
         ScenarioResult res = sim::runScenario(cfg, 1);
         const std::string serial = res.resultJson();

@@ -99,50 +99,3 @@ TEST(PracCounters, ResetClearsRow)
     c.reset(0, 9);
     EXPECT_EQ(c.count(0, 9), 0u);
 }
-
-// --- Per-subarray tile layout (dram/subarray.h) ------------------------
-
-TEST(PracCounters, SubarrayLayoutPreservesBankRowApi)
-{
-    // The same traffic against a monolithic bank and a 4-subarray bank
-    // must read back identically through the (bank, row) API: the
-    // tiling is pure storage layout.
-    PracCounters flat(2, 64, 2, 1);
-    PracCounters tiled(2, 64, 2, 4);
-    for (int i = 0; i < 3; ++i) {
-        flat.onActivate(1, 17);
-        tiled.onActivate(1, 17);
-    }
-    flat.onActivate(1, 48);
-    tiled.onActivate(1, 48);
-    for (int row : {16, 17, 18, 47, 48, 49})
-        EXPECT_EQ(flat.count(1, row), tiled.count(1, row)) << row;
-    EXPECT_EQ(flat.maxCount(1), tiled.maxCount(1));
-    EXPECT_EQ(flat.maxRow(1), tiled.maxRow(1));
-}
-
-TEST(PracCounters, MaxCountInSubarrayScansOneTile)
-{
-    PracCounters c(1, 64, 2, 4); // 4 subarrays x 16 rows
-    for (int i = 0; i < 3; ++i)
-        c.onActivate(0, 5); // subarray 0
-    c.onActivate(0, 20); // subarray 1
-    EXPECT_EQ(c.maxCountInSubarray(0, 0), 3u);
-    EXPECT_EQ(c.maxCountInSubarray(0, 1), 1u);
-    EXPECT_EQ(c.maxCountInSubarray(0, 2), 0u);
-    EXPECT_EQ(c.geometry().count(), 4);
-}
-
-TEST(PracCounters, MitigateCrossesTileBoundaries)
-{
-    // An aggressor on the last row of subarray 0 has victims in
-    // subarray 1; the blast radius must reach across the tile seam.
-    PracCounters c(1, 64, 2, 4);
-    for (int i = 0; i < 4; ++i)
-        c.onActivate(0, 15); // last row of subarray 0
-    c.mitigate(0, 15, nullptr);
-    EXPECT_EQ(c.count(0, 15), 0u);
-    EXPECT_EQ(c.count(0, 16), 1u) << "victim across the seam missed";
-    EXPECT_EQ(c.count(0, 17), 1u);
-    EXPECT_EQ(c.count(0, 14), 1u);
-}

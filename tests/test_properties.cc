@@ -18,7 +18,7 @@
 #include "security/prac_model.h"
 
 using namespace qprac;
-using core::PriorityServiceQueue;
+using core::LinearCamQueue;
 using core::Qprac;
 using core::QpracConfig;
 using dram::PracCounters;
@@ -35,7 +35,7 @@ TEST(Properties, PsqNeverRejectsAboveMinimum)
 {
     Rng rng(2024);
     for (int trial = 0; trial < 50; ++trial) {
-        PriorityServiceQueue psq(4);
+        LinearCamQueue psq(4);
         std::map<int, ActCount> counts;
         for (int step = 0; step < 3000; ++step) {
             int row = static_cast<int>(rng.nextBelow(32));
@@ -169,7 +169,7 @@ TEST_P(PsqAdmissionProperty, HoldsForCapacity)
 {
     const int capacity = GetParam();
     Rng rng(1000 + static_cast<std::uint64_t>(capacity));
-    PriorityServiceQueue psq(capacity);
+    LinearCamQueue psq(capacity);
     std::map<int, ActCount> counts;
     for (int step = 0; step < 4000; ++step) {
         int row = static_cast<int>(rng.nextBelow(64));

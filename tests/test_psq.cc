@@ -19,14 +19,13 @@ using qprac::Rng;
 using qprac::core::CoalescingQueue;
 using qprac::core::HeapQueue;
 using qprac::core::LinearCamQueue;
-using qprac::core::PriorityServiceQueue;
 using qprac::core::PsqInsert;
 using qprac::core::ServiceQueueBackend;
 using qprac::core::SqBackendKind;
 
 TEST(Psq, FillsFreeSlotsFirst)
 {
-    PriorityServiceQueue psq(3);
+    LinearCamQueue psq(3);
     EXPECT_EQ(psq.onActivate(10, 1), PsqInsert::Inserted);
     EXPECT_EQ(psq.onActivate(11, 1), PsqInsert::Inserted);
     EXPECT_EQ(psq.onActivate(12, 1), PsqInsert::Inserted);
@@ -36,7 +35,7 @@ TEST(Psq, FillsFreeSlotsFirst)
 
 TEST(Psq, HitUpdatesCountInPlace)
 {
-    PriorityServiceQueue psq(2);
+    LinearCamQueue psq(2);
     psq.onActivate(7, 1);
     EXPECT_EQ(psq.onActivate(7, 5), PsqInsert::Hit);
     EXPECT_EQ(psq.countOf(7), 5u);
@@ -45,7 +44,7 @@ TEST(Psq, HitUpdatesCountInPlace)
 
 TEST(Psq, EvictsMinimumWhenFullAndHigher)
 {
-    PriorityServiceQueue psq(2);
+    LinearCamQueue psq(2);
     psq.onActivate(1, 10);
     psq.onActivate(2, 20);
     // Equal to the min: rejected (strictly-higher policy).
@@ -60,7 +59,7 @@ TEST(Psq, EvictsMinimumWhenFullAndHigher)
 
 TEST(Psq, TopReturnsHighestCount)
 {
-    PriorityServiceQueue psq(4);
+    LinearCamQueue psq(4);
     psq.onActivate(1, 5);
     psq.onActivate(2, 9);
     psq.onActivate(3, 7);
@@ -72,7 +71,7 @@ TEST(Psq, TopReturnsHighestCount)
 
 TEST(Psq, MinCountZeroUntilFull)
 {
-    PriorityServiceQueue psq(3);
+    LinearCamQueue psq(3);
     psq.onActivate(1, 50);
     // Not full: any row can still enter, so the effective min is 0.
     EXPECT_EQ(psq.minCount(), 0u);
@@ -83,7 +82,7 @@ TEST(Psq, MinCountZeroUntilFull)
 
 TEST(Psq, RemoveEvictsRow)
 {
-    PriorityServiceQueue psq(3);
+    LinearCamQueue psq(3);
     psq.onActivate(1, 5);
     psq.onActivate(2, 6);
     EXPECT_TRUE(psq.remove(1));
@@ -94,7 +93,7 @@ TEST(Psq, RemoveEvictsRow)
 
 TEST(Psq, EmptyTopIsNull)
 {
-    PriorityServiceQueue psq(2);
+    LinearCamQueue psq(2);
     EXPECT_EQ(psq.top(), nullptr);
     EXPECT_EQ(psq.maxCount(), 0u);
     EXPECT_TRUE(psq.empty());
@@ -103,8 +102,8 @@ TEST(Psq, EmptyTopIsNull)
 TEST(Psq, StorageMatchesPaper)
 {
     // Paper §VI-F: 5 entries x (17-bit RowID + 7-bit counter) = 15 bytes.
-    EXPECT_EQ(PriorityServiceQueue::storageBits(5, 17, 7), 120);
-    EXPECT_EQ(PriorityServiceQueue::storageBits(5, 17, 7) / 8, 15);
+    EXPECT_EQ(LinearCamQueue::storageBits(5, 17, 7), 120);
+    EXPECT_EQ(LinearCamQueue::storageBits(5, 17, 7) / 8, 15);
 }
 
 /**
@@ -118,7 +117,7 @@ TEST(Psq, TracksHottestRowUnderRandomTraffic)
 {
     Rng rng(42);
     for (int trial = 0; trial < 20; ++trial) {
-        PriorityServiceQueue psq(5);
+        LinearCamQueue psq(5);
         std::map<int, ActCount> counts;
         int hottest = -1;
         for (int step = 0; step < 2000; ++step) {
@@ -155,7 +154,7 @@ TEST_P(PsqPropertyTest, NeverTracksWorseThanTopK)
 {
     const int capacity = GetParam();
     Rng rng(1234 + static_cast<std::uint64_t>(capacity));
-    PriorityServiceQueue psq(capacity);
+    LinearCamQueue psq(capacity);
     std::map<int, ActCount> counts;
 
     for (int step = 0; step < 5000; ++step) {

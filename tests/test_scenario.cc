@@ -124,6 +124,12 @@ TEST(ScenarioConfigTest, SetRejectsUnknownKeysAndBadValues)
     std::string err;
     EXPECT_FALSE(cfg.set("no_such_key", "1", &err));
     EXPECT_NE(err.find("unknown config key"), std::string::npos);
+    // Retired keys are unknown keys, not aliases.
+    for (const char* key : {"subarrays", "cuq_depth"}) {
+        EXPECT_FALSE(cfg.set(key, "16", &err)) << key;
+        EXPECT_NE(err.find("unknown config key"), std::string::npos)
+            << err;
+    }
     EXPECT_FALSE(cfg.set("source", "workload:not-a-workload", &err));
     // One invalid value per key; trace-out takes any path.
     const std::vector<std::pair<std::string, std::string>> bad = {
@@ -147,9 +153,7 @@ TEST(ScenarioConfigTest, SetRejectsUnknownKeysAndBadValues)
         {"attack_cycles", "0"},
         {"pipeline", "sometimes"},
         {"skip", "2x"},
-        {"subarrays", "96"},
-        {"counter-update", "lazy"},
-        {"cuq_depth", "0"},
+        {"counter-update", "coalesced"}, // a retired mode
         {"trace", "cmd+abo"}, // categories are comma-separated
         {"metrics-interval", "0"},
     };
@@ -163,6 +167,9 @@ TEST(ScenarioConfigTest, SetRejectsUnknownKeysAndBadValues)
     std::sort(covered.begin(), covered.end());
     std::sort(all.begin(), all.end());
     EXPECT_EQ(covered, all);
+    // A retired trace category is an unknown one.
+    EXPECT_FALSE(cfg.set("trace", "cmd,cuq", &err));
+    EXPECT_EQ(err.rfind("trace='cmd,cuq': ", 0), 0u) << err;
     // Nothing above may have mutated the config.
     EXPECT_EQ(cfg.toIni(), ScenarioConfig().toIni());
 }
@@ -210,9 +217,7 @@ TEST(ScenarioConfigTest, RoundTripIsIdentity)
         {"attack_cycles", "5000"},
         {"pipeline", "off"},
         {"skip", "on"},
-        {"subarrays", "128"},
         {"counter-update", "queued"},
-        {"cuq_depth", "4"},
         {"trace", "abo,cmd"},
         {"trace-out", "out.csv"},
         {"metrics-interval", "500"},

@@ -114,16 +114,13 @@ TEST(ScenarioHash, ResultBearingKeysEachMoveTheHash)
 
 TEST(ScenarioHash, CanonicalKeyShape)
 {
-    // The counter-architecture keys serialize only when counter-update
-    // leaves the inline default (they are result-neutral layout
-    // otherwise); every other hashed key always appears.
+    // counter-update serializes only when it leaves the inline
+    // default; every other hashed key always appears.
     std::vector<std::string> unless_inline;
     for (const auto& row : qprac::sim::scenarioKeyTable())
         if (row.hash == qprac::sim::KeyHashClass::UnlessInline)
             unless_inline.push_back(row.name);
-    EXPECT_EQ(unless_inline, (std::vector<std::string>{
-                                 "subarrays", "counter-update",
-                                 "cuq_depth"}));
+    EXPECT_EQ(unless_inline, (std::vector<std::string>{"counter-update"}));
     auto unlessInline = [&](const std::string& name) {
         return std::find(unless_inline.begin(), unless_inline.end(),
                          name) != unless_inline.end();
@@ -149,6 +146,9 @@ TEST(ScenarioHash, CanonicalKeyShape)
     for (const auto& hashed : scenarioHashedKeys())
         EXPECT_NE(queued.find("\n" + hashed + "="), std::string::npos)
             << hashed << " missing from:\n" << queued;
+    const std::string tail = "\ncorepar=off\ncounter-update=queued\n";
+    ASSERT_GE(queued.size(), tail.size());
+    EXPECT_EQ(queued.substr(queued.size() - tail.size()), tail) << queued;
 }
 
 TEST(ScenarioHash, CounterUpdateKeysMoveTheHashOnlyWhenQueued)
@@ -157,28 +157,16 @@ TEST(ScenarioHash, CounterUpdateKeysMoveTheHashOnlyWhenQueued)
     // Leaving the inline default moves the hash...
     const std::uint64_t queued =
         scenarioHash(withSets({{"counter-update", "queued"}}));
-    const std::uint64_t coalesced =
-        scenarioHash(withSets({{"counter-update", "coalesced"}}));
     EXPECT_NE(queued, base);
-    EXPECT_NE(coalesced, base);
-    EXPECT_NE(queued, coalesced);
-    // ...and so do subarrays/cuq_depth once off the critical path...
-    EXPECT_NE(scenarioHash(withSets({{"counter-update", "queued"},
-                                     {"subarrays", "128"}})),
-              queued);
-    EXPECT_NE(scenarioHash(withSets({{"counter-update", "queued"},
-                                     {"cuq_depth", "32"}})),
-              queued);
-    // ...but with inline updates they are result-neutral storage
-    // layout: explicit spellings alias the pre-subarray cache entry.
+    // ...but spelling out the inline default aliases the cache entry of
+    // a config that never names the key.
     EXPECT_EQ(scenarioHash(withSets({{"counter-update", "inline"}})),
               base);
-    EXPECT_EQ(scenarioHash(withSets({{"subarrays", "128"}})), base);
-    EXPECT_EQ(scenarioHash(withSets({{"cuq_depth", "32"}})), base);
 }
 
-constexpr const char* kGoldenQueued = "4845a83ddb7af038";
-constexpr const char* kGoldenCoalesced = "f9a6d1e988409a9f";
+// A queued canonical key ends in `corepar=off\ncounter-update=queued\n`,
+// so a sidecar stored under any other queued form is never served.
+constexpr const char* kGoldenQueued = "5ecd82b4387caf7c";
 
 // The on-disk contract: these exact values name sidecar files in every
 // existing cache directory. If a change here is intentional, bump the
@@ -196,22 +184,15 @@ TEST(ScenarioHash, GoldenValues)
                                         {"cores", "1"},
                                         {"nmit", "2"}})),
               "cd40735f2630d8a7");
-    // Queued/coalesced variants append the counter-architecture keys
-    // to the canonical form; the inline pins above must never move
-    // (PR 7 cache compatibility).
+    // The queued variant appends counter-update to the canonical form;
+    // the inline pins above must never move (existing cache entries
+    // stay valid).
     EXPECT_EQ(scenarioHashHex(withSets({{"source", "workload:429.mcf"},
                                         {"insts", "20000"},
                                         {"cores", "1"},
                                         {"nmit", "1"},
                                         {"counter-update", "queued"}})),
               kGoldenQueued);
-    EXPECT_EQ(scenarioHashHex(withSets({{"source", "workload:429.mcf"},
-                                        {"insts", "20000"},
-                                        {"cores", "1"},
-                                        {"nmit", "1"},
-                                        {"counter-update", "coalesced"},
-                                        {"subarrays", "128"}})),
-              kGoldenCoalesced);
 }
 
 } // namespace
