@@ -25,6 +25,8 @@
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <string>
+#include <vector>
 
 using namespace qprac;
 using sim::ScenarioConfig;
@@ -360,6 +362,11 @@ main(int argc, char** argv)
             std::printf("note: could not write %s\n", out_path.c_str());
     }
 
+    // Every enabled bar below is evaluated and printed with its verdict
+    // first, so one log shows every reading; the run then fails once,
+    // naming each bar that missed.
+    std::vector<std::string> missed;
+
     // CI smoke hook: on a multi-core runner the v2 engine at 4 threads
     // must clearly beat the v1 engine at 1 thread on the 8-channel
     // point (generous 1.5x bar; scaling is machine noise on fewer than
@@ -372,12 +379,13 @@ main(int argc, char** argv)
         } else {
             const double ratio =
                 median_v2_t4 > 0 ? median_skip / median_v2_t4 : 0.0;
+            const bool ok = ratio >= 1.5;
             std::printf("scaling assert: v2@4t vs v1@1t at 8 channels "
-                        "= %.2fx (medians of %d rounds)\n",
-                        ratio, kBarRepeats);
-            if (ratio < 1.5)
-                fatal(strCat("engine v2 scaling below bar: ",
-                             Table::num(ratio, 2), "x < 1.5x"));
+                        "= %.2fx (medians of %d rounds, bar 1.5x): %s\n",
+                        ratio, kBarRepeats, ok ? "pass" : "FAIL");
+            if (!ok)
+                missed.push_back(strCat("engine v2 scaling ",
+                                        Table::num(ratio, 2), "x < 1.5x"));
         }
     }
 
@@ -387,12 +395,21 @@ main(int argc, char** argv)
     // ticking, single-threaded on the same box, so no core-count
     // self-skip is needed.
     if (std::getenv("QPRAC_ASSERT_SKIP")) {
+        const bool ok = skip_ratio_8ch >= 2.0;
         std::printf("skip assert: next-event vs dense at 8 channels "
-                    "= %.2fx (medians of %d rounds)\n",
-                    skip_ratio_8ch, kBarRepeats);
-        if (skip_ratio_8ch < 2.0)
-            fatal(strCat("cycle skipping below bar: ",
-                         Table::num(skip_ratio_8ch, 2), "x < 2x"));
+                    "= %.2fx (medians of %d rounds, bar 2x): %s\n",
+                    skip_ratio_8ch, kBarRepeats, ok ? "pass" : "FAIL");
+        if (!ok)
+            missed.push_back(strCat("cycle skipping ",
+                                    Table::num(skip_ratio_8ch, 2),
+                                    "x < 2x"));
+    }
+
+    if (!missed.empty()) {
+        std::string why;
+        for (const std::string& m : missed)
+            why += (why.empty() ? "" : "; ") + m;
+        fatal(strCat("engine bars missed: ", why));
     }
 
     std::printf(

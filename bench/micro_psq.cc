@@ -126,7 +126,7 @@ BM_QpracBatchedActivatePath(benchmark::State& state)
 BENCHMARK(BM_QpracBatchedActivatePath);
 
 static void
-BM_IdealHeapActivatePath(benchmark::State& state)
+BM_IdealActivatePath(benchmark::State& state)
 {
     // The "oracular" UPRAC-style tracker QPRAC-Ideal models.
     dram::PracCounters ctrs(1, 4096);
@@ -140,7 +140,7 @@ BM_IdealHeapActivatePath(benchmark::State& state)
             ideal.onRfm(0, dram::RfmScope::AllBank, true, 0);
     }
 }
-BENCHMARK(BM_IdealHeapActivatePath);
+BENCHMARK(BM_IdealActivatePath);
 
 static void
 BM_MithrilActivate(benchmark::State& state)

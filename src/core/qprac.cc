@@ -91,6 +91,84 @@ QpracConfig::idealTopN(int nbo, int nmit)
     return c;
 }
 
+CountBuckets::CountBuckets(int banks, int rows_per_bank)
+    : rows_per_bank_(rows_per_bank),
+      banks_(static_cast<std::size_t>(banks))
+{
+    links_.reset(static_cast<Link*>(
+        std::calloc(static_cast<std::size_t>(banks) *
+                        static_cast<std::size_t>(rows_per_bank),
+                    sizeof(Link))));
+    QP_ASSERT(links_ != nullptr, "out of memory for Ideal's count buckets");
+}
+
+CountBuckets::Link*
+CountBuckets::bankLinks(int bank)
+{
+    return links_.get() + static_cast<std::size_t>(bank) *
+                              static_cast<std::size_t>(rows_per_bank_);
+}
+
+void
+CountBuckets::unlink(int bank, int row, ActCount count)
+{
+    Bank& b = banks_[static_cast<std::size_t>(bank)];
+    Link* links = bankLinks(bank);
+    Link& self = links[row];
+    Bucket& k = b.buckets[count];
+    if (self.prev != 0)
+        links[self.prev - 1].next = self.next;
+    else
+        k.head = self.next;
+    if (self.next != 0)
+        links[self.next - 1].prev = self.prev;
+    else
+        k.tail = self.prev;
+    self = {0, 0};
+}
+
+void
+CountBuckets::raise(int bank, int row, ActCount count)
+{
+    Bank& b = banks_[static_cast<std::size_t>(bank)];
+    Link* links = bankLinks(bank);
+    const auto self = static_cast<std::uint32_t>(row) + 1;
+    if (count >= b.buckets.size())
+        b.buckets.resize(static_cast<std::size_t>(count) + 1);
+    // A linked row has a neighbour or heads its bucket; a row counted
+    // only before this tracker was attached is in none.
+    if (count > 1 &&
+        (links[row].prev != 0 || b.buckets[count - 1].head == self))
+        unlink(bank, row, count - 1);
+    Bucket& k = b.buckets[count];
+    links[row] = {k.tail, 0};
+    if (k.tail != 0)
+        links[k.tail - 1].next = self;
+    else
+        k.head = self;
+    k.tail = self;
+    b.max = std::max(b.max, count);
+}
+
+void
+CountBuckets::clear(int bank, int row, ActCount count)
+{
+    unlink(bank, row, count);
+    Bank& b = banks_[static_cast<std::size_t>(bank)];
+    // A raise lifts the maximum by at most one (a row seen since the
+    // tracker was attached moves up one bucket), so this walk down to
+    // the next non-empty bucket is amortized O(1) per count change.
+    while (b.max > 0 && b.buckets[b.max].head == 0)
+        --b.max;
+}
+
+int
+CountBuckets::topRow(int bank) const
+{
+    const Bank& b = banks_[static_cast<std::size_t>(bank)];
+    return b.max == 0 ? kNoRow : static_cast<int>(b.buckets[b.max].head) - 1;
+}
+
 template <class Backend>
 QpracT<Backend>::QpracT(const QpracConfig& config,
                         dram::PracCounters* counters)
@@ -108,7 +186,7 @@ QpracT<Backend>::QpracT(const QpracConfig& config,
             psqs_.emplace_back(config_.psq_size);
     }
     if (config_.ideal)
-        ideal_.resize(static_cast<std::size_t>(banks));
+        ideal_.emplace(banks, counters_->rowsPerBank());
     over_threshold_.assign(static_cast<std::size_t>(banks), 0);
     refs_seen_.assign(static_cast<std::size_t>(banks), 0);
 }
@@ -134,7 +212,7 @@ QpracT<Backend>::activateOne(int flat_bank, int row, ActCount count)
         break;
     }
     if (config_.ideal)
-        ideal_[static_cast<std::size_t>(flat_bank)].heap.push({count, row});
+        ideal_->raise(flat_bank, row, count);
 
     if (count >= static_cast<ActCount>(config_.nbo) &&
         !over_threshold_[static_cast<std::size_t>(flat_bank)]) {
@@ -183,45 +261,29 @@ QpracT<Backend>::alertingBank() const
 }
 
 template <class Backend>
-int
-QpracT<Backend>::idealTopRow(int bank)
-{
-    auto& heap = ideal_[static_cast<std::size_t>(bank)].heap;
-    // Lazily drop stale heap entries (count changed since push).
-    while (!heap.empty()) {
-        HeapEntry e = heap.top();
-        if (counters_->count(bank, e.row) == e.count)
-            return e.row;
-        heap.pop();
-    }
-    return kNoRow;
-}
-
-template <class Backend>
 bool
 QpracT<Backend>::mitigateTop(int bank, bool require_count,
                              ActCount min_count)
 {
+    auto& psq = psqs_[static_cast<std::size_t>(bank)];
     int row = kNoRow;
+    ActCount count = 0;
     if (config_.ideal) {
-        row = idealTopRow(bank);
-        if (row != kNoRow && require_count &&
-            counters_->count(bank, row) < min_count)
-            row = kNoRow;
-    } else {
-        auto& psq = psqs_[static_cast<std::size_t>(bank)];
-        const SqEntry* top = psq.top();
-        if (top && (!require_count || top->count >= min_count))
-            row = top->row;
+        row = ideal_->topRow(bank);
+        count = ideal_->maxCount(bank);
+    } else if (const SqEntry* top = psq.top()) {
+        row = top->row;
+        count = top->count;
     }
-    if (row == kNoRow)
+    if (row == kNoRow || (require_count && count < min_count))
         return false;
 
     dram::PracCounters::VictimInfo victims[16];
     int nv = counters_->mitigate(bank, row, victims);
     stats_.victim_refreshes += static_cast<std::uint64_t>(nv);
+    if (config_.ideal)
+        ideal_->clear(bank, row, count);
 
-    auto& psq = psqs_[static_cast<std::size_t>(bank)];
     psq.remove(row);
     // Transitive-attack handling: victims' incremented counts may now
     // qualify them for PSQ tracking (§III-C2).
@@ -232,8 +294,7 @@ QpracT<Backend>::mitigateTop(int bank, bool require_count,
         if (r == PsqInsert::Evicted)
             ++stats_.psq_evictions;
         if (config_.ideal)
-            ideal_[static_cast<std::size_t>(bank)].heap.push(
-                {victims[i].count, victims[i].row});
+            ideal_->raise(bank, victims[i].row, victims[i].count);
     }
     refreshAlertFlag(bank);
     return true;
@@ -243,15 +304,7 @@ template <class Backend>
 void
 QpracT<Backend>::refreshAlertFlag(int bank)
 {
-    bool over;
-    if (config_.ideal) {
-        int row = idealTopRow(bank);
-        over = row != kNoRow && counters_->count(bank, row) >=
-                                    static_cast<ActCount>(config_.nbo);
-    } else {
-        over = psqs_[static_cast<std::size_t>(bank)].maxCount() >=
-               static_cast<ActCount>(config_.nbo);
-    }
+    const bool over = topCount(bank) >= static_cast<ActCount>(config_.nbo);
     auto& flag = over_threshold_[static_cast<std::size_t>(bank)];
     if (flag && !over) {
         flag = 0;
@@ -332,17 +385,8 @@ template <class Backend>
 ActCount
 QpracT<Backend>::topCount(int flat_bank) const
 {
-    if (config_.ideal) {
-        // Non-mutating scan is fine here (inspection only).
-        auto heap = ideal_[static_cast<std::size_t>(flat_bank)].heap;
-        while (!heap.empty()) {
-            HeapEntry e = heap.top();
-            if (counters_->count(flat_bank, e.row) == e.count)
-                return e.count;
-            heap.pop();
-        }
-        return 0;
-    }
+    if (config_.ideal)
+        return ideal_->maxCount(flat_bank);
     return psqs_[static_cast<std::size_t>(flat_bank)].maxCount();
 }
 

@@ -10,7 +10,10 @@
  *  - QPRAC+Proactive-EA: energy-aware — proactive mitigation only fires
  *                     when the top entry's count >= NPRO (= NBO/K).
  *  - QPRAC-Ideal:     oracular top-N tracking (UPRAC-style ideal), used
- *                     as the performance/security reference.
+ *                     as the performance/security reference. It mitigates
+ *                     a row at its bank's true maximum count; among the
+ *                     rows tied at that count, the one that reached it
+ *                     first (the service-queue "oldest" rule).
  *
  * The engine is parameterized over the ServiceQueueBackend: QpracT<B>
  * calls its per-bank queues with static dispatch (B is a final class, so
@@ -21,8 +24,10 @@
 #ifndef QPRAC_CORE_QPRAC_H
 #define QPRAC_CORE_QPRAC_H
 
+#include <cstdint>
+#include <cstdlib>
 #include <memory>
-#include <queue>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -76,6 +81,69 @@ struct QpracConfig
 };
 
 /**
+ * QPRAC-Ideal's exact top-count tracker over one channel's banks.
+ *
+ * Bucket c of a bank lists the rows whose count is c, in the order they
+ * arrived at c, and a running maximum names the top bucket. A row sits
+ * in the bucket of the last count QPRAC saw for it, so every count
+ * change (an ACT or victim refresh raising it by one, a mitigation
+ * clearing it) names the bucket the row leaves: the links carry no
+ * count and cost 8 bytes a row. They are calloc'd like PracCounters, so
+ * only the pages of touched rows become resident. A row QPRAC first
+ * sees at count c (its earlier ACTs came before the mitigation was
+ * attached) joins bucket c directly.
+ */
+class CountBuckets
+{
+  public:
+    CountBuckets(int banks, int rows_per_bank);
+
+    /** @p row's count rose to @p count (> 0) from count - 1. */
+    void raise(int bank, int row, ActCount count);
+
+    /** @p row's count fell from @p count (> 0) to zero. */
+    void clear(int bank, int row, ActCount count);
+
+    /** Highest count in @p bank (0 when every row is at zero). */
+    ActCount maxCount(int bank) const
+    {
+        return banks_[static_cast<std::size_t>(bank)].max;
+    }
+
+    /** Row that reached the bank's highest count first; kNoRow at 0. */
+    int topRow(int bank) const;
+
+  private:
+    /** Neighbours in a row's bucket, as row + 1 (0 = none). */
+    struct Link
+    {
+        std::uint32_t prev;
+        std::uint32_t next;
+    };
+    struct Bucket
+    {
+        std::uint32_t head = 0;
+        std::uint32_t tail = 0;
+    };
+    struct Bank
+    {
+        std::vector<Bucket> buckets; ///< indexed by count; 0 unused
+        ActCount max = 0;
+    };
+    struct FreeDeleter
+    {
+        void operator()(Link* p) const { std::free(p); }
+    };
+
+    Link* bankLinks(int bank);
+    void unlink(int bank, int row, ActCount count);
+
+    int rows_per_bank_;
+    std::vector<Bank> banks_;
+    std::unique_ptr<Link[], FreeDeleter> links_; ///< bank-major
+};
+
+/**
  * QPRAC mitigation engine (one instance serves every bank), over a
  * concrete service-queue backend.
  */
@@ -115,19 +183,6 @@ class QpracT final : public dram::RowhammerMitigation
     ActCount topCount(int flat_bank) const;
 
   private:
-    struct HeapEntry
-    {
-        ActCount count;
-        int row;
-        bool operator<(const HeapEntry& o) const { return count < o.count; }
-    };
-
-    /** Lazy max-heap view of a bank's true per-row counts (Ideal mode). */
-    struct IdealTracker
-    {
-        std::priority_queue<HeapEntry> heap;
-    };
-
     /** Statically-dispatched per-ACT work shared by both entry points. */
     void activateOne(int flat_bank, int row, ActCount count);
 
@@ -136,12 +191,11 @@ class QpracT final : public dram::RowhammerMitigation
                      ActCount min_count = 0);
 
     void refreshAlertFlag(int bank);
-    int idealTopRow(int bank);
 
     QpracConfig config_;
     dram::PracCounters* counters_;
     std::vector<Backend> psqs_;
-    std::vector<IdealTracker> ideal_;
+    std::optional<CountBuckets> ideal_; ///< Ideal mode only
     std::vector<char> over_threshold_;
     std::vector<int> refs_seen_;
     int num_over_ = 0;

@@ -8,7 +8,7 @@
  * the `result` object the sweep JSON embeds — plus a header that makes
  * stale or damaged entries detectable:
  *
- *   {"cache_format": 1,
+ *   {"cache_format": 2,
  *    "scenario_hash": "<16 hex>",
  *    "scenario_key": "<canonical hashed-key serialization>",
  *    "result": {...}}
@@ -43,8 +43,12 @@ namespace qprac::sim {
 class ResultCache
 {
   public:
-    /** Sidecar layout version; mismatches are recomputed. */
-    static constexpr int kFormatVersion = 1;
+    /**
+     * Sidecar layout version; mismatches are recomputed. Also bumped
+     * when results move under an unchanged canonical key (2: QPRAC-Ideal
+     * breaks ties at its top count by the oldest row).
+     */
+    static constexpr int kFormatVersion = 2;
 
     /**
      * @p dir is created if missing (empty = disabled cache, every

@@ -4,8 +4,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/qprac.h"
 #include "dram/prac_counters.h"
 
@@ -172,6 +175,90 @@ TEST(Qprac, IdealTracksTrueMaximum)
     q.onRfm(0, RfmScope::AllBank, true, 0);
     EXPECT_EQ(ctrs.count(0, 19 * 8), 0u); // the true max was mitigated
     EXPECT_EQ(q.topCount(0), 28u);        // next-highest surfaced
+}
+
+TEST(Qprac, IdealMatchesBruteForceMaximum)
+{
+    // Random ACTs, RFMs and energy-aware REFs over two banks; after every
+    // step the tracker must agree with a plain scan of the counters.
+    constexpr int kRows = 256;
+    constexpr int kNbo = 12;
+    PracCounters ctrs(2, kRows);
+    Qprac q(QpracConfig::idealTopN(kNbo, 1), &ctrs);
+    Rng rng(20250118);
+    int mitigations = 0;
+    for (int step = 0; step < 20000; ++step) {
+        const int bank = static_cast<int>(rng.nextBelow(2));
+        const bool rfm = rng.nextBool(0.03);
+        const bool ref = !rfm && rng.nextBool(0.02);
+        std::vector<ActCount> before(kRows);
+        for (int r = 0; r < kRows; ++r)
+            before[static_cast<std::size_t>(r)] = ctrs.count(bank, r);
+        const std::uint64_t mitigated = ctrs.totalMitigations();
+        if (rfm) {
+            q.onRfm(bank, RfmScope::AllBank, q.alertingBank() == bank, 0);
+        } else if (ref) {
+            q.onRefresh(bank, 0);
+        } else {
+            // Even rows only: ties at the top are common, and a victim
+            // refresh (rows +-1, +-2) often lands on another hot row.
+            act(ctrs, q, bank, static_cast<int>(rng.nextBelow(64)) * 2);
+        }
+        if (ctrs.totalMitigations() != mitigated) {
+            ++mitigations;
+            // The aggressor is the one row whose counter was cleared.
+            int row = -1;
+            for (int r = 0; r < kRows; ++r)
+                if (before[static_cast<std::size_t>(r)] > 0 &&
+                    ctrs.count(bank, r) == 0)
+                    row = r;
+            ASSERT_NE(row, -1) << step;
+            EXPECT_EQ(before[static_cast<std::size_t>(row)],
+                      *std::max_element(before.begin(), before.end()))
+                << "step " << step << " mitigated row " << row;
+        }
+        for (int b = 0; b < 2; ++b) {
+            ASSERT_EQ(q.topCount(b), ctrs.maxCount(b)) << step;
+            ASSERT_EQ(q.bankWantsAlert(b),
+                      ctrs.maxCount(b) >= static_cast<ActCount>(kNbo))
+                << step;
+        }
+    }
+    EXPECT_GT(mitigations, 500);
+    EXPECT_GT(q.stats().proactive_mitigations, 0u);
+}
+
+TEST(Qprac, IdealTieGoesToTheRowThatReachedTheCountFirst)
+{
+    PracCounters ctrs(1, 256);
+    Qprac q(QpracConfig::idealTopN(64, 1), &ctrs);
+    auto acts = [&](int row, int n) {
+        for (int i = 0; i < n; ++i)
+            act(ctrs, q, 0, row);
+    };
+    // Rows reach count 3 in the order 100, 60, 140, 80, 120; neither
+    // first touch (row 80) nor row number gives that order.
+    acts(80, 1);
+    acts(100, 3);
+    acts(140, 1);
+    acts(60, 3);
+    acts(140, 2);
+    acts(80, 2);
+    acts(120, 3);
+    acts(40, 2); // one short of the tie
+    acts(42, 5); // the unique maximum; row 40 is its victim
+    auto rfm = [&] { q.onRfm(0, RfmScope::AllBank, false, 0); };
+
+    rfm();
+    EXPECT_EQ(ctrs.count(0, 42), 0u);
+    // The victim refresh lifts row 40 to 3, behind the rows already there.
+    EXPECT_EQ(ctrs.count(0, 40), 3u);
+    EXPECT_EQ(q.topCount(0), 3u);
+    for (int row : {100, 60, 140, 80, 120, 40}) {
+        rfm();
+        EXPECT_EQ(ctrs.count(0, row), 0u) << "expected row " << row;
+    }
+    EXPECT_EQ(q.topCount(0), 2u); // row 41, a victim of both 42 and 40
 }
 
 TEST(Qprac, AlertRequestCountedOncePerEpisode)

@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -185,7 +186,8 @@ TEST(ResultCache, DamagedSidecarsAreRejectedNotTrusted)
 
     // Valid JSON, wrong format version.
     std::string bumped = good;
-    const std::string tag = "\"cache_format\":1";
+    const std::string tag = "\"cache_format\":" +
+                            std::to_string(ResultCache::kFormatVersion);
     auto at = bumped.find(tag);
     ASSERT_NE(at, std::string::npos);
     bumped.replace(at, tag.size(), "\"cache_format\":999");

@@ -6,8 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "attacks/wave_attack.h"
 #include "security/prac_model.h"
+#include "sim/scenario_hash.h"
 
 using qprac::attacks::simulateWaveAttack;
 using qprac::attacks::WaveAttackConfig;
@@ -115,3 +118,25 @@ TEST_P(WaveEquivalence, PsqSizeDoesNotWeakenSecurity)
 
 INSTANTIATE_TEST_SUITE_P(Sizes, WaveEquivalence,
                          ::testing::Values(1, 2, 3, 4, 5));
+
+TEST(WaveAttack, IdealGridMatchesParentResults)
+{
+    // The oracle is the reference of the §IV-B comparison, so how it
+    // finds its top row must never move a Wave result. The hash covers
+    // every WaveAttackResult field of each Ideal point; it was recorded
+    // with the lazy-heap tracker the count buckets replaced.
+    std::string bytes;
+    for (int psq = 1; psq <= 8; ++psq)
+        for (int nbo : {16, 32, 64})
+            for (long r1 : {10L, 100L, 1000L}) {
+                WaveAttackConfig c = cfg(nbo, 1, r1, true);
+                c.psq_size = psq;
+                auto r = simulateWaveAttack(c);
+                bytes += std::to_string(r.max_count) + ' ' +
+                         std::to_string(r.rounds) + ' ' +
+                         std::to_string(r.alerts) + ' ' +
+                         std::to_string(r.total_acts) + ' ' +
+                         std::to_string(r.pool_after_setup) + '\n';
+            }
+    EXPECT_EQ(qprac::sim::fnv1a64(bytes), 0xae2ffe07ad524e25ULL);
+}
