@@ -6,9 +6,7 @@
  * IPC, once under attack:rfm-probe for the leakage signal), joined on
  * the grid key and charted as a frontier: a point is Pareto-optimal
  * when no other point both performs at least as well and leaks at most
- * as much. There is no service-queue backend axis: the linear and heap
- * backends are decision-equivalent by construction (tests/test_psq.cc
- * pins it), so the base scenario's backend stands for both.
+ * as much.
  *
  * The grid is also the experiment service's showcase: the whole thing
  * runs cold through the content-addressed result cache, then again

@@ -24,7 +24,6 @@ main()
          {std::pair<const char*, const char*>{"source",
                                               "workload:429.mcf"},
           {"mitigation", "qprac+proactive-ea"},
-          {"backend", "heap"},
           {"insts", "20000"},
           {"cores", "2"},
           {"seed", "7"}}) {

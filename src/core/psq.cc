@@ -23,8 +23,7 @@ int
 LinearCamQueue::findMin() const
 {
     QP_ASSERT(size_ > 0, "findMin on empty PSQ");
-    // Canonical tie-break (see service_queue.h): lowest count, then
-    // oldest entry — so every backend evicts the same victim.
+    // Tie-break (see psq.h): lowest count, then oldest entry.
     int best = 0;
     for (int i = 1; i < size_; ++i) {
         const Entry& e = entries_[static_cast<std::size_t>(i)];

@@ -1,7 +1,6 @@
 #include "core/qprac.h"
 
 #include <algorithm>
-#include <type_traits>
 
 #include "common/log.h"
 #include "dram/prac_counters.h"
@@ -12,25 +11,16 @@ namespace qprac::core {
 std::string
 QpracConfig::label() const
 {
-    std::string base_label;
-    if (ideal) {
-        base_label = "QPRAC-Ideal";
-    } else if (!opportunistic) {
-        base_label = "QPRAC-NoOp";
-    } else {
-        switch (proactive) {
-          case ProactiveMode::None: base_label = "QPRAC"; break;
-          case ProactiveMode::EveryRef:
-            base_label = "QPRAC+Proactive";
-            break;
-          case ProactiveMode::EnergyAware:
-            base_label = "QPRAC+Proactive-EA";
-            break;
-        }
+    if (ideal)
+        return "QPRAC-Ideal";
+    if (!opportunistic)
+        return "QPRAC-NoOp";
+    switch (proactive) {
+      case ProactiveMode::None: return "QPRAC";
+      case ProactiveMode::EveryRef: return "QPRAC+Proactive";
+      case ProactiveMode::EnergyAware: return "QPRAC+Proactive-EA";
     }
-    if (backend != SqBackendKind::Linear)
-        base_label += std::string("@") + sqBackendName(backend);
-    return base_label;
+    return "QPRAC";
 }
 
 std::string
@@ -169,50 +159,44 @@ CountBuckets::topRow(int bank) const
     return b.max == 0 ? kNoRow : static_cast<int>(b.buckets[b.max].head) - 1;
 }
 
-template <class Backend>
-QpracT<Backend>::QpracT(const QpracConfig& config,
-                        dram::PracCounters* counters)
+Qprac::Qprac(const QpracConfig& config, dram::PracCounters* counters)
     : config_(config), counters_(counters)
 {
     QP_ASSERT(counters_ != nullptr, "QPRAC requires PRAC counters");
     QP_ASSERT(config_.psq_size >= 1, "PSQ size must be >= 1");
     QP_ASSERT(config_.nbo >= 1, "NBO must be >= 1");
     const int banks = counters_->numBanks();
-    psqs_.reserve(static_cast<std::size_t>(banks));
-    for (int i = 0; i < banks; ++i) {
-        if constexpr (std::is_same_v<Backend, CoalescingQueue>)
-            psqs_.emplace_back(config_.psq_size, config_.coalesce_window);
-        else
-            psqs_.emplace_back(config_.psq_size);
-    }
     if (config_.ideal)
         ideal_.emplace(banks, counters_->rowsPerBank());
+    else
+        psqs_.assign(static_cast<std::size_t>(banks),
+                     LinearCamQueue(config_.psq_size));
     over_threshold_.assign(static_cast<std::size_t>(banks), 0);
     refs_seen_.assign(static_cast<std::size_t>(banks), 0);
 }
 
-template <class Backend>
 void
-QpracT<Backend>::activateOne(int flat_bank, int row, ActCount count)
+Qprac::activateOne(int flat_bank, int row, ActCount count)
 {
-    auto& psq = psqs_[static_cast<std::size_t>(flat_bank)];
-    PsqInsert result = psq.onActivate(row, count);
-    switch (result) {
-      case PsqInsert::Hit:
-        ++stats_.psq_hits;
-        break;
-      case PsqInsert::Inserted:
-        ++stats_.psq_insertions;
-        break;
-      case PsqInsert::Evicted:
-        ++stats_.psq_insertions;
-        ++stats_.psq_evictions;
-        break;
-      case PsqInsert::Rejected:
-        break;
-    }
-    if (config_.ideal)
+    if (config_.ideal) {
         ideal_->raise(flat_bank, row, count);
+    } else {
+        auto& psq = psqs_[static_cast<std::size_t>(flat_bank)];
+        switch (psq.onActivate(row, count)) {
+          case PsqInsert::Hit:
+            ++stats_.psq_hits;
+            break;
+          case PsqInsert::Inserted:
+            ++stats_.psq_insertions;
+            break;
+          case PsqInsert::Evicted:
+            ++stats_.psq_insertions;
+            ++stats_.psq_evictions;
+            break;
+          case PsqInsert::Rejected:
+            break;
+        }
+    }
 
     if (count >= static_cast<ActCount>(config_.nbo) &&
         !over_threshold_[static_cast<std::size_t>(flat_bank)]) {
@@ -222,35 +206,29 @@ QpracT<Backend>::activateOne(int flat_bank, int row, ActCount count)
     }
 }
 
-template <class Backend>
 void
-QpracT<Backend>::onActivate(int flat_bank, int row, ActCount count,
-                            Cycle cycle)
+Qprac::onActivate(int flat_bank, int row, ActCount count, Cycle cycle)
 {
     (void)cycle;
     activateOne(flat_bank, row, count);
 }
 
-template <class Backend>
 void
-QpracT<Backend>::onActivateBatch(const dram::ActEvent* events, int n)
+Qprac::onActivateBatch(const dram::ActEvent* events, int n)
 {
-    // One virtual entry for the whole burst; the loop below is fully
-    // statically dispatched into the concrete backend.
+    // One virtual entry for the whole burst.
     for (int i = 0; i < n; ++i)
         activateOne(events[i].flat_bank, events[i].row, events[i].count);
 }
 
-template <class Backend>
 bool
-QpracT<Backend>::wantsAlert() const
+Qprac::wantsAlert() const
 {
     return num_over_ > 0;
 }
 
-template <class Backend>
 int
-QpracT<Backend>::alertingBank() const
+Qprac::alertingBank() const
 {
     if (num_over_ == 0)
         return -1;
@@ -260,49 +238,48 @@ QpracT<Backend>::alertingBank() const
     return -1;
 }
 
-template <class Backend>
 bool
-QpracT<Backend>::mitigateTop(int bank, bool require_count,
-                             ActCount min_count)
+Qprac::mitigateTop(int bank, bool require_count, ActCount min_count)
 {
-    auto& psq = psqs_[static_cast<std::size_t>(bank)];
     int row = kNoRow;
     ActCount count = 0;
     if (config_.ideal) {
         row = ideal_->topRow(bank);
         count = ideal_->maxCount(bank);
-    } else if (const SqEntry* top = psq.top()) {
+    } else if (const SqEntry* top =
+                   psqs_[static_cast<std::size_t>(bank)].top()) {
         row = top->row;
         count = top->count;
     }
     if (row == kNoRow || (require_count && count < min_count))
         return false;
 
-    dram::PracCounters::VictimInfo victims[16];
+    dram::PracCounters::VictimInfo victims[dram::PracCounters::kMaxVictims];
     int nv = counters_->mitigate(bank, row, victims);
     stats_.victim_refreshes += static_cast<std::uint64_t>(nv);
-    if (config_.ideal)
+    if (config_.ideal) {
         ideal_->clear(bank, row, count);
-
-    psq.remove(row);
-    // Transitive-attack handling: victims' incremented counts may now
-    // qualify them for PSQ tracking (§III-C2).
-    for (int i = 0; i < nv; ++i) {
-        PsqInsert r = psq.onActivate(victims[i].row, victims[i].count);
-        if (r == PsqInsert::Inserted || r == PsqInsert::Evicted)
-            ++stats_.psq_insertions;
-        if (r == PsqInsert::Evicted)
-            ++stats_.psq_evictions;
-        if (config_.ideal)
+        for (int i = 0; i < nv; ++i)
             ideal_->raise(bank, victims[i].row, victims[i].count);
+    } else {
+        auto& psq = psqs_[static_cast<std::size_t>(bank)];
+        psq.remove(row);
+        // Transitive-attack handling: victims' incremented counts may
+        // now qualify them for PSQ tracking (§III-C2).
+        for (int i = 0; i < nv; ++i) {
+            PsqInsert r = psq.onActivate(victims[i].row, victims[i].count);
+            if (r == PsqInsert::Inserted || r == PsqInsert::Evicted)
+                ++stats_.psq_insertions;
+            if (r == PsqInsert::Evicted)
+                ++stats_.psq_evictions;
+        }
     }
     refreshAlertFlag(bank);
     return true;
 }
 
-template <class Backend>
 void
-QpracT<Backend>::refreshAlertFlag(int bank)
+Qprac::refreshAlertFlag(int bank)
 {
     const bool over = topCount(bank) >= static_cast<ActCount>(config_.nbo);
     auto& flag = over_threshold_[static_cast<std::size_t>(bank)];
@@ -315,10 +292,9 @@ QpracT<Backend>::refreshAlertFlag(int bank)
     }
 }
 
-template <class Backend>
 void
-QpracT<Backend>::onRfm(int flat_bank, dram::RfmScope scope,
-                       bool alerting_bank, Cycle cycle)
+Qprac::onRfm(int flat_bank, dram::RfmScope scope, bool alerting_bank,
+             Cycle cycle)
 {
     (void)scope;
     // QPRAC-NoOp mitigates only the alerting bank; opportunistic QPRAC
@@ -333,9 +309,8 @@ QpracT<Backend>::onRfm(int flat_bank, dram::RfmScope scope,
     }
 }
 
-template <class Backend>
 void
-QpracT<Backend>::onRefresh(int flat_bank, Cycle cycle)
+Qprac::onRefresh(int flat_bank, Cycle cycle)
 {
     if (config_.proactive == ProactiveMode::None)
         return;
@@ -353,59 +328,39 @@ QpracT<Backend>::onRefresh(int flat_bank, Cycle cycle)
     }
 }
 
-template <class Backend>
-const Backend&
-QpracT<Backend>::psq(int flat_bank) const
+const LinearCamQueue&
+Qprac::psq(int flat_bank) const
 {
+    QP_ASSERT(!config_.ideal, "QPRAC-Ideal keeps no PSQ");
     return psqs_[static_cast<std::size_t>(flat_bank)];
 }
 
-template <class Backend>
 int
-QpracT<Backend>::queueOccupancy() const
+Qprac::queueOccupancy() const
 {
+    if (config_.ideal)
+        return -1;
     int peak = 0;
-    for (const Backend& psq : psqs_)
+    for (const LinearCamQueue& psq : psqs_)
         peak = std::max(peak, psq.size());
     return peak;
 }
 
-template <class Backend>
 std::int64_t
-QpracT<Backend>::maxTrackedCount() const
+Qprac::maxTrackedCount() const
 {
     std::int64_t top = 0;
-    for (int b = 0; b < static_cast<int>(psqs_.size()); ++b)
-        top = std::max(top,
-                       static_cast<std::int64_t>(topCount(b)));
+    for (int b = 0; b < static_cast<int>(over_threshold_.size()); ++b)
+        top = std::max(top, static_cast<std::int64_t>(topCount(b)));
     return top;
 }
 
-template <class Backend>
 ActCount
-QpracT<Backend>::topCount(int flat_bank) const
+Qprac::topCount(int flat_bank) const
 {
     if (config_.ideal)
         return ideal_->maxCount(flat_bank);
     return psqs_[static_cast<std::size_t>(flat_bank)].maxCount();
-}
-
-template class QpracT<LinearCamQueue>;
-template class QpracT<HeapQueue>;
-template class QpracT<CoalescingQueue>;
-
-std::unique_ptr<dram::RowhammerMitigation>
-makeQprac(const QpracConfig& config, dram::PracCounters* counters)
-{
-    switch (config.backend) {
-      case SqBackendKind::Linear:
-        return std::make_unique<Qprac>(config, counters);
-      case SqBackendKind::Heap:
-        return std::make_unique<QpracHeap>(config, counters);
-      case SqBackendKind::Coalescing:
-        return std::make_unique<QpracCoalescing>(config, counters);
-    }
-    return std::make_unique<Qprac>(config, counters);
 }
 
 } // namespace qprac::core

@@ -15,11 +15,9 @@
  *                     rows tied at that count, the one that reached it
  *                     first (the service-queue "oldest" rule).
  *
- * The engine is parameterized over the ServiceQueueBackend: QpracT<B>
- * calls its per-bank queues with static dispatch (B is a final class, so
- * the activation hot path has no virtual calls), and makeQprac()
- * type-erases the instantiation chosen by QpracConfig::backend behind
- * the RowhammerMitigation interface.
+ * Every variant but Ideal keeps one PSQ (core/psq.h) per bank. Ideal
+ * keeps none: it picks every row from its exact count buckets, so its
+ * `psq_*` stats stay zero and queueOccupancy() reports no queue.
  */
 #ifndef QPRAC_CORE_QPRAC_H
 #define QPRAC_CORE_QPRAC_H
@@ -31,10 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "core/coalescing_queue.h"
-#include "core/heap_queue.h"
 #include "core/psq.h"
-#include "core/service_queue.h"
 #include "dram/mitigation_iface.h"
 
 namespace qprac::dram {
@@ -62,10 +57,6 @@ struct QpracConfig
     int npro = 16;         ///< EA threshold; paper default NBO/2
     int proactive_period_refs = 1; ///< 1 proactive per N REFs (Fig 17/21)
     bool ideal = false;    ///< QPRAC-Ideal (oracular top-N)
-    /** Service-queue implementation (Linear = the paper's CAM). */
-    SqBackendKind backend = SqBackendKind::Linear;
-    /** Staging entries for the Coalescing backend. */
-    int coalesce_window = CoalescingQueue::kDefaultWindow;
 
     std::string label() const;
 
@@ -143,15 +134,11 @@ class CountBuckets
     std::unique_ptr<Link[], FreeDeleter> links_; ///< bank-major
 };
 
-/**
- * QPRAC mitigation engine (one instance serves every bank), over a
- * concrete service-queue backend.
- */
-template <class Backend>
-class QpracT final : public dram::RowhammerMitigation
+/** QPRAC mitigation engine (one instance serves every bank). */
+class Qprac final : public dram::RowhammerMitigation
 {
   public:
-    QpracT(const QpracConfig& config, dram::PracCounters* counters);
+    Qprac(const QpracConfig& config, dram::PracCounters* counters);
 
     void onActivate(int flat_bank, int row, ActCount count,
                     Cycle cycle) override;
@@ -176,14 +163,14 @@ class QpracT final : public dram::RowhammerMitigation
 
     const QpracConfig& config() const { return config_; }
 
-    /** PSQ of one bank (inspection/testing). */
-    const Backend& psq(int flat_bank) const;
+    /** PSQ of one bank (inspection/testing; not in Ideal mode). */
+    const LinearCamQueue& psq(int flat_bank) const;
 
     /** Highest tracked count for a bank (PSQ, or true max when ideal). */
     ActCount topCount(int flat_bank) const;
 
   private:
-    /** Statically-dispatched per-ACT work shared by both entry points. */
+    /** Per-ACT work shared by both entry points. */
     void activateOne(int flat_bank, int row, ActCount count);
 
     /** Mitigate one row in @p bank; returns true if a row was mitigated. */
@@ -194,26 +181,13 @@ class QpracT final : public dram::RowhammerMitigation
 
     QpracConfig config_;
     dram::PracCounters* counters_;
-    std::vector<Backend> psqs_;
+    std::vector<LinearCamQueue> psqs_;  ///< empty in Ideal mode
     std::optional<CountBuckets> ideal_; ///< Ideal mode only
     std::vector<char> over_threshold_;
     std::vector<int> refs_seen_;
     int num_over_ = 0;
     dram::MitigationStats stats_;
 };
-
-extern template class QpracT<LinearCamQueue>;
-extern template class QpracT<HeapQueue>;
-extern template class QpracT<CoalescingQueue>;
-
-/** The paper's QPRAC: linear-scan CAM backend. */
-using Qprac = QpracT<LinearCamQueue>;
-using QpracHeap = QpracT<HeapQueue>;
-using QpracCoalescing = QpracT<CoalescingQueue>;
-
-/** Construct the QpracT instantiation selected by @p config.backend. */
-std::unique_ptr<dram::RowhammerMitigation>
-makeQprac(const QpracConfig& config, dram::PracCounters* counters);
 
 } // namespace qprac::core
 

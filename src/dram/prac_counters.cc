@@ -14,6 +14,8 @@ PracCounters::PracCounters(int num_banks, int rows_per_bank,
 {
     QP_ASSERT(num_banks > 0 && rows_per_bank > 0 && blast_radius >= 0,
               "invalid PracCounters geometry");
+    QP_ASSERT(2 * blast_radius <= kMaxVictims,
+              "blast radius overflows the victim arrays");
     counts_.reset(static_cast<ActCount*>(
         std::calloc(static_cast<std::size_t>(num_banks) *
                         static_cast<std::size_t>(rows_per_bank),

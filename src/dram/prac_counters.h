@@ -24,10 +24,17 @@ class PracCounters
 {
   public:
     /**
+     * Most victims one mitigation refreshes: the size of every caller's
+     * victim array, so blast_radius is at most kMaxVictims / 2.
+     */
+    static constexpr int kMaxVictims = 16;
+
+    /**
      * @param num_banks flat bank count
      * @param rows_per_bank rows per bank
      * @param blast_radius victim rows refreshed on each side of an
-     *        aggressor during mitigation (paper default BR = 2)
+     *        aggressor during mitigation (paper default BR = 2; at most
+     *        kMaxVictims / 2)
      */
     PracCounters(int num_banks, int rows_per_bank, int blast_radius = 2);
 
@@ -52,7 +59,7 @@ class PracCounters
      * and below (incrementing their counters), then reset the aggressor's
      * counter to 0. Returns the victims refreshed.
      *
-     * @param victims output array; must hold >= 2*blast_radius entries
+     * @param victims output array (kMaxVictims entries always suffice)
      * @param reset_aggressor false models Panopticon's t-bit scheme,
      *        where the counter keeps running and the threshold bit only
      *        re-toggles after another 2^t activations

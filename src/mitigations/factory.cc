@@ -52,9 +52,7 @@ buildQprac(core::QpracConfig (*preset)(int, int),
     core::QpracConfig cfg = p.qprac ? *p.qprac : preset(p.nbo, p.nmit);
     if (p.psq_size > 0)
         cfg.psq_size = p.psq_size;
-    if (p.backend)
-        cfg.backend = *p.backend;
-    return core::makeQprac(cfg, counters);
+    return std::make_unique<core::Qprac>(cfg, counters);
 }
 
 MitigationRegistry::Builder
@@ -153,24 +151,10 @@ MitigationRegistry::unregisterDesign(const std::string& name)
     return true;
 }
 
-bool
-MitigationRegistry::has(const std::string& name) const
-{
-    if (auto at = name.find('@'); at != std::string::npos) {
-        core::SqBackendKind kind;
-        if (!core::parseSqBackend(name.substr(at + 1), &kind))
-            return false;
-        return entries_.count(name.substr(0, at)) != 0;
-    }
-    return entries_.count(name) != 0;
-}
-
 std::string
 MitigationRegistry::description(const std::string& name) const
 {
-    if (!has(name))
-        return std::string();
-    auto it = entries_.find(name.substr(0, name.find('@')));
+    auto it = entries_.find(name);
     return it != entries_.end() ? it->second.description : std::string();
 }
 
@@ -179,26 +163,15 @@ MitigationRegistry::create(const std::string& name,
                            const MitigationParams& params,
                            dram::PracCounters* counters) const
 {
-    std::string base = name;
-    MitigationParams p = params;
-    if (auto at = name.find('@'); at != std::string::npos) {
-        base = name.substr(0, at);
-        core::SqBackendKind kind;
-        if (!core::parseSqBackend(name.substr(at + 1), &kind))
-            fatal(strCat("unknown service-queue backend '",
-                         name.substr(at + 1), "' in '", name,
-                         "' (expected linear, heap or coalescing)"));
-        p.backend = kind;
-    }
-    auto it = entries_.find(base);
+    auto it = entries_.find(name);
     if (it == entries_.end()) {
         std::string known;
         for (const auto& n : order_)
             known += (known.empty() ? "" : ", ") + n;
-        fatal(strCat("unknown mitigation '", base, "' (known: ", known,
+        fatal(strCat("unknown mitigation '", name, "' (known: ", known,
                      ")"));
     }
-    return it->second.builder(p, counters);
+    return it->second.builder(params, counters);
 }
 
 std::unique_ptr<dram::RowhammerMitigation>

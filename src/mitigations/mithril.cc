@@ -72,7 +72,7 @@ Mithril::mitigateMax(int bank, bool proactive)
     if (max_it->second <= t.spillover)
         return; // nothing meaningfully above the noise floor
     int row = max_it->first;
-    dram::PracCounters::VictimInfo victims[16];
+    dram::PracCounters::VictimInfo victims[dram::PracCounters::kMaxVictims];
     int nv = counters_->mitigate(bank, row, victims);
     stats_.victim_refreshes += static_cast<std::uint64_t>(nv);
     max_it->second = t.spillover; // Graphene-style post-TRR reset

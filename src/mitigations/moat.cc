@@ -73,7 +73,7 @@ Moat::mitigateEntry(int bank, bool proactive)
     auto& e = entries_[static_cast<std::size_t>(bank)];
     if (e.row == kNoRow)
         return false;
-    dram::PracCounters::VictimInfo victims[16];
+    dram::PracCounters::VictimInfo victims[dram::PracCounters::kMaxVictims];
     int nv = counters_->mitigate(bank, e.row, victims);
     stats_.victim_refreshes += static_cast<std::uint64_t>(nv);
     e = {};

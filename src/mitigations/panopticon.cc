@@ -107,7 +107,7 @@ Panopticon::mitigateFront(int bank, bool proactive)
     int row = q.fifo.front();
     q.fifo.pop_front();
     q.members.erase(row);
-    dram::PracCounters::VictimInfo victims[16];
+    dram::PracCounters::VictimInfo victims[dram::PracCounters::kMaxVictims];
     // In t-bit mode the activation counter is NOT reset by mitigation;
     // the threshold bit simply toggles again 2^t activations later.
     int nv = counters_->mitigate(bank, row, victims,

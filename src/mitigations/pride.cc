@@ -35,7 +35,7 @@ Pride::mitigateFront(int bank, bool proactive)
         return;
     int row = q.front();
     q.pop_front();
-    dram::PracCounters::VictimInfo victims[16];
+    dram::PracCounters::VictimInfo victims[dram::PracCounters::kMaxVictims];
     int nv = counters_->mitigate(bank, row, victims);
     stats_.victim_refreshes += static_cast<std::uint64_t>(nv);
     if (proactive)

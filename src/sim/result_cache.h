@@ -8,7 +8,7 @@
  * the `result` object the sweep JSON embeds — plus a header that makes
  * stale or damaged entries detectable:
  *
- *   {"cache_format": 2,
+ *   {"cache_format": 3,
  *    "scenario_hash": "<16 hex>",
  *    "scenario_key": "<canonical hashed-key serialization>",
  *    "result": {...}}
@@ -46,9 +46,10 @@ class ResultCache
     /**
      * Sidecar layout version; mismatches are recomputed. Also bumped
      * when results move under an unchanged canonical key (2: QPRAC-Ideal
-     * breaks ties at its top count by the oldest row).
+     * breaks ties at its top count by the oldest row; 3: QPRAC-Ideal
+     * keeps no PSQ, so its `psq_*` stats read 0).
      */
-    static constexpr int kFormatVersion = 2;
+    static constexpr int kFormatVersion = 3;
 
     /**
      * @p dir is created if missing (empty = disabled cache, every

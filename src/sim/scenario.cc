@@ -14,7 +14,6 @@
 #include "common/log.h"
 #include "common/parse.h"
 #include "common/subprocess.h"
-#include "core/service_queue.h"
 #include "dram/address.h"
 #include "mitigations/factory.h"
 #include "obs/obs.h"
@@ -247,22 +246,13 @@ scenarioKeyTable()
          "workload:NAME, trace:PATH or attack:NAME (--list)",
          valueField(&C::source, parseSourceValue, asIs)},
         {"mitigation", H::Result, "--mitigation",
-         "design under test, e.g. qprac@heap (--list-designs)",
+         "design under test, e.g. qprac-ideal (--list-designs)",
          textField(
              &C::mitigation,
              [](const std::string& v) {
                  return mitigations::MitigationRegistry::instance().has(v);
              },
              "unknown mitigation design (see --list-designs)")},
-        {"backend", H::Result, "--backend",
-         "QPRAC service queue: linear, heap, coalescing (empty: design's)",
-         textField(
-             &C::backend,
-             [](const std::string& v) {
-                 core::SqBackendKind kind;
-                 return v.empty() || core::parseSqBackend(v, &kind);
-             },
-             "unknown service-queue backend")},
         {"psq_size", H::Result, "--psq-size",
          "PSQ entries per bank (0: design default)",
          intField(&C::psq_size, 0, 1024)},
@@ -478,6 +468,15 @@ ScenarioConfig::validate(std::string* err) const
                           "' is a single-channel event model");
         return false;
     }
+    // The Wave harness drives one QPRAC engine; any other design would
+    // silently run as QPRAC.
+    if (sourceKind() == SourceKind::Attack && sourceName() == "wave" &&
+        mitigation.rfind("qprac", 0) != 0) {
+        if (err)
+            *err = strCat("attack 'wave' models QPRAC designs only, not '",
+                          mitigation, "'");
+        return false;
+    }
     return true;
 }
 
@@ -529,12 +528,6 @@ ScenarioConfig::design() const
     params.nbo = nbo;
     params.nmit = nmit;
     params.psq_size = psq_size;
-    if (!backend.empty()) {
-        core::SqBackendKind kind;
-        if (!core::parseSqBackend(backend, &kind))
-            fatal(strCat("unknown backend '", backend, "'"));
-        params.backend = kind;
-    }
 
     DesignSpec d;
     d.label = mitigation;
@@ -882,8 +875,8 @@ registerRecoveryAttacks(ScenarioRegistry& reg)
 {
     const std::vector<std::string> keys = {
         "recovery", "channels", "ranks",   "mitigation",
-        "backend",  "psq_size", "nbo",     "nmit",
-        "mapping",  "attack_cycles", "counter-update", "skip",
+        "psq_size", "nbo",      "nmit",    "mapping",
+        "attack_cycles", "counter-update", "skip",
         "trace",    "trace-out", "metrics-interval"};
     reg.registerAttack(
         "rfm-probe",

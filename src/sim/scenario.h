@@ -6,7 +6,7 @@
  * A ScenarioConfig is one flat, typed key=value record that fully
  * describes a run: the source (synthetic workload, trace file, or one
  * of the event-level attack families), the design under test
- * (mitigation + backend + PSQ/ABO knobs), the memory geometry, and the
+ * (mitigation + PSQ/ABO knobs), the memory geometry, and the
  * run length/seed. It parses from an INI-style config file, accepts
  * `--set key=value` overrides, serializes back to canonical INI
  * (parse -> serialize -> parse is the identity), and builds the
@@ -14,7 +14,7 @@
  * tools, benches and tests previously each wired up by hand.
  *
  * A SweepSpec enumerates axes over those keys
- * (`psq_size=1:9`, `backend=linear,heap`) and runSweep() executes the
+ * (`psq_size=1:9`, `nbo=16,32`) and runSweep() executes the
  * cross-product in parallel with deterministic result ordering.
  * Results are emitted through one structured layer: ScenarioResult
  * carries a unified StatSet plus JSON/CSV serialization.
@@ -72,7 +72,6 @@ struct ScenarioConfig
 
     // --- design under test -------------------------------------------
     std::string mitigation = "qprac+proactive-ea";
-    std::string backend; ///< QPRAC service-queue backend ("" = default)
     int psq_size = 0;    ///< PSQ entries per bank (0 = design default)
     int nbo = 32;        ///< Back-Off threshold
     int nmit = 1;        ///< RFMs per alert

@@ -92,8 +92,6 @@ listDesigns()
     for (const auto& name : registry.names())
         t.addRow({name, registry.description(name)});
     out += t.toString();
-    out += "\nqprac designs accept an @backend suffix "
-           "(linear | heap | coalescing), e.g. qprac@heap.\n";
     return out;
 }
 

@@ -1,6 +1,7 @@
 #include "sim/scenario_hash.h"
 
 #include <cstdio>
+#include <string_view>
 
 namespace qprac::sim {
 
@@ -8,10 +9,11 @@ namespace {
 
 /**
  * Bumping this tag re-keys the whole cache; see the header contract.
- * v1: the Result keys in table order, a fixed `corepar=off` line, then
- * the UnlessInline keys when counter-update is not inline. (Neutral
- * keys are never serialized, so adding or removing one changes no
- * canonical key and needs no tag bump.)
+ * v1: the Result keys in table order with a fixed empty `backend=`
+ * line after `mitigation=`, a fixed `corepar=off` line, then the
+ * UnlessInline keys when counter-update is not inline. (Neutral keys
+ * are never serialized, so adding or removing one changes no canonical
+ * key and needs no tag bump.)
  */
 constexpr const char* kFormatTag = "qprac-scenario-v1";
 
@@ -74,6 +76,10 @@ scenarioCanonicalKey(const ScenarioConfig& cfg)
             out += '=';
             out += row.field.print(resolved);
             out += '\n';
+            // The retired backend key's line keeps old hashes and
+            // sidecars valid.
+            if (std::string_view(row.name) == "mitigation")
+                out += "backend=\n";
         }
     };
     append(KeyHashClass::Result);

@@ -16,9 +16,11 @@
  *    only when `counter-update` is not `inline`, so an explicit
  *    `counter-update=inline` keeps the hash of a config that never
  *    names it.
- *  - A fixed `corepar=off` line follows the Result keys. It is not a
- *    key: the threaded-core engine it named is gone, and the line stays
- *    so every existing hash and cache sidecar keeps its value.
+ *  - A fixed empty `backend=` line follows `mitigation=`, and a fixed
+ *    `corepar=off` line follows the Result keys. Neither is a key: the
+ *    service-queue backends and the threaded-core engine they named are
+ *    gone, and the lines stay so every existing hash and cache sidecar
+ *    keeps its value.
  *  - `insts=default`, `llc_mb=0` and `seed=0` resolve through
  *    QPRAC_INSTS, QPRAC_LLC_MB and QPRAC_SEED at run time. When one of
  *    them moves the value off its built-in default, the key carries
@@ -53,7 +55,8 @@ const std::vector<std::string>& scenarioHashExcludedKeys();
 /**
  * The exact byte string the hash runs over: a format tag line followed
  * by one `key=value` line per hashed key in canonical order (see the
- * file comment for the corepar line and the inline skip). Stored
+ * file comment for the backend and corepar lines and the inline
+ * skip). Stored
  * verbatim in cache sidecars as the collision/staleness guard (two
  * configs with equal hashes but different canonical keys never alias).
  */

@@ -298,44 +298,20 @@ TEST(RegistryTest, ListsDesignsWithDescriptions)
         EXPECT_FALSE(reg.description(name).empty()) << name;
     }
     EXPECT_FALSE(reg.has("no-such-design"));
-    // has()/description() agree with create() on suffixed names.
-    EXPECT_TRUE(reg.has("qprac@heap"));
-    EXPECT_FALSE(reg.has("qprac@btree"));
-    EXPECT_EQ(reg.description("qprac@heap"), reg.description("qprac"));
-    EXPECT_TRUE(reg.description("qprac@btree").empty());
+    // The retired service-queue suffix names no design.
+    EXPECT_FALSE(reg.has("qprac@heap"));
+    EXPECT_TRUE(reg.description("qprac@heap").empty());
 }
 
-TEST(RegistryTest, BackendSuffixSelectsServiceQueue)
-{
-    PracCounters c(2, 256);
-    MitigationParams p;
-    p.nbo = 32;
-    for (const char* suffix : {"linear", "heap", "coalescing"}) {
-        auto m = MitigationRegistry::instance().create(
-            std::string("qprac@") + suffix, p, &c);
-        ASSERT_NE(m, nullptr) << suffix;
-        // Non-default backends surface in the design label.
-        if (std::string(suffix) == "linear")
-            EXPECT_EQ(m->name(), "QPRAC");
-        else
-            EXPECT_EQ(m->name(), std::string("QPRAC@") + suffix);
-        for (int i = 0; i < 20; ++i)
-            act(c, *m, 0, 8 * (i % 3));
-        m->onRfm(0, RfmScope::AllBank, true, 0);
-    }
-}
-
-TEST(RegistryTest, ParamsOverridePsqSizeAndBackend)
+TEST(RegistryTest, ParamsOverridePsqSize)
 {
     PracCounters c(1, 256);
     MitigationParams p;
     p.nbo = 8;
     p.psq_size = 3;
-    p.backend = qprac::core::SqBackendKind::Heap;
     auto m = MitigationRegistry::instance().create("qprac", p, &c);
-    ASSERT_NE(m, nullptr);
-    auto* q = dynamic_cast<qprac::core::QpracHeap*>(m.get());
-    ASSERT_NE(q, nullptr) << "backend override must select QpracT<Heap>";
+    auto* q = dynamic_cast<qprac::core::Qprac*>(m.get());
+    ASSERT_NE(q, nullptr);
     EXPECT_EQ(q->config().psq_size, 3);
     EXPECT_EQ(q->config().nbo, 8);
 }
@@ -362,9 +338,10 @@ TEST(RegistryTest, UnknownNamesAreFatal)
     EXPECT_EXIT(
         { MitigationRegistry::instance().create("no-such", p, &c); },
         ::testing::ExitedWithCode(1), "unknown mitigation");
+    // The retired service-queue suffix is an unknown design.
     EXPECT_EXIT(
-        { MitigationRegistry::instance().create("qprac@btree", p, &c); },
-        ::testing::ExitedWithCode(1), "unknown service-queue backend");
+        { MitigationRegistry::instance().create("qprac@heap", p, &c); },
+        ::testing::ExitedWithCode(1), "unknown mitigation 'qprac@heap'");
 }
 
 TEST(RegistryTest, CustomDesignsCanRegister)
@@ -373,7 +350,7 @@ TEST(RegistryTest, CustomDesignsCanRegister)
     reg.registerDesign("test-custom", "registered by a unit test",
                        [](const MitigationParams& p,
                           dram::PracCounters* counters) {
-                           return qprac::core::makeQprac(
+                           return std::make_unique<qprac::core::Qprac>(
                                qprac::core::QpracConfig::base(p.nbo, p.nmit),
                                counters);
                        });

@@ -33,6 +33,17 @@ TEST(PracCounters, MitigateResetsAggressorAndBumpsVictims)
     EXPECT_EQ(c.count(0, 27), 0u); // outside blast radius
 }
 
+TEST(PracCounters, BlastRadiusMustFitTheVictimArrays)
+{
+    // Every mitigation writes its victims into a kMaxVictims array.
+    constexpr int kMaxRadius = PracCounters::kMaxVictims / 2;
+    PracCounters widest(1, 64, kMaxRadius);
+    PracCounters::VictimInfo victims[PracCounters::kMaxVictims];
+    EXPECT_EQ(widest.mitigate(0, 32, victims), PracCounters::kMaxVictims);
+    EXPECT_DEATH(PracCounters(1, 64, kMaxRadius + 1),
+                 "blast radius overflows the victim arrays");
+}
+
 TEST(PracCounters, MitigateWithoutResetKeepsAggressorCount)
 {
     // Panopticon's t-bit mode: the counter keeps running.

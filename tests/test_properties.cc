@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "attacks/wave_attack.h"
@@ -185,117 +186,152 @@ INSTANTIATE_TEST_SUITE_P(Capacities, PsqAdmissionProperty,
                          ::testing::Values(1, 2, 3, 4, 5, 8, 12, 16, 32));
 
 /**
- * Property 6 (backend equivalence): LinearCamQueue and HeapQueue are
- * decision-equivalent. Fed an identical random activation stream —
- * including interleaved mitigations (remove-top, the way QPRAC drains
- * the queue) — both backends return the same insert outcome and expose
- * the same top/min/max/membership at every step. This is what makes the
- * backends interchangeable under QPRAC's security argument: the proof
- * constrains decisions, not data structures.
+ * Property 6 (tie-break contract, psq.h): LinearCamQueue makes the
+ * decisions of a brute-force model that keeps its entries ordered by
+ * (count, insertion age). Fed a seeded activation stream with
+ * interleaved mitigations (remove-top, the way QPRAC drains the queue),
+ * both return the same insert outcome and expose the same top, min,
+ * max and membership at every step, and end holding the same
+ * (row, count, seq) set.
  */
-class BackendEquivalence : public ::testing::TestWithParam<int>
+class PsqModel
+{
+  public:
+    explicit PsqModel(int capacity) : capacity_(capacity) {}
+
+    core::PsqInsert onActivate(int row, ActCount count)
+    {
+        if (auto it = find(row); it != entries_.end()) {
+            const std::uint64_t seq = std::get<1>(*it);
+            entries_.erase(it);
+            entries_.insert({count, seq, row});
+            return core::PsqInsert::Hit;
+        }
+        if (static_cast<int>(entries_.size()) < capacity_) {
+            entries_.insert({count, next_seq_++, row});
+            return core::PsqInsert::Inserted;
+        }
+        if (count <= std::get<0>(*entries_.begin()))
+            return core::PsqInsert::Rejected;
+        entries_.erase(entries_.begin()); // lowest count, then oldest
+        entries_.insert({count, next_seq_++, row});
+        return core::PsqInsert::Evicted;
+    }
+
+    /** Oldest entry at the highest count; kNoRow when empty. */
+    int topRow() const
+    {
+        if (entries_.empty())
+            return kNoRow;
+        const ActCount max = std::get<0>(*entries_.rbegin());
+        return std::get<2>(*entries_.lower_bound({max, 0, 0}));
+    }
+
+    ActCount minCount() const
+    {
+        return static_cast<int>(entries_.size()) < capacity_
+                   ? 0
+                   : std::get<0>(*entries_.begin());
+    }
+
+    ActCount maxCount() const
+    {
+        return entries_.empty() ? 0 : std::get<0>(*entries_.rbegin());
+    }
+
+    bool remove(int row)
+    {
+        auto it = find(row);
+        if (it == entries_.end())
+            return false;
+        entries_.erase(it);
+        return true;
+    }
+
+    bool contains(int row) const { return find(row) != entries_.end(); }
+
+    ActCount countOf(int row) const
+    {
+        auto it = find(row);
+        return it == entries_.end() ? 0 : std::get<0>(*it);
+    }
+
+    /** (row, count, seq) of every entry, by row. */
+    std::vector<std::tuple<int, ActCount, std::uint64_t>> byRow() const
+    {
+        std::vector<std::tuple<int, ActCount, std::uint64_t>> out;
+        for (const auto& [count, seq, row] : entries_)
+            out.emplace_back(row, count, seq);
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+
+  private:
+    using Entry = std::tuple<ActCount, std::uint64_t, int>; ///< count, seq, row
+
+    std::set<Entry>::const_iterator find(int row) const
+    {
+        return std::find_if(entries_.begin(), entries_.end(),
+                            [row](const Entry& e) {
+                                return std::get<2>(e) == row;
+                            });
+    }
+
+    int capacity_;
+    std::set<Entry> entries_;
+    std::uint64_t next_seq_ = 0;
+};
+
+class PsqDifferential : public ::testing::TestWithParam<int>
 {
 };
 
-TEST_P(BackendEquivalence, IdenticalDecisionsOnRandomStreams)
+TEST_P(PsqDifferential, MatchesBruteForceModel)
 {
     const int capacity = GetParam();
+    // Few rows per slot keep counts close, so ties are common.
+    const int rows = 3 * capacity + 8;
     for (std::uint64_t seed = 1; seed <= 5; ++seed) {
         Rng rng(seed * 7919 + static_cast<std::uint64_t>(capacity));
-        core::LinearCamQueue linear(capacity);
-        core::HeapQueue heap(capacity);
+        LinearCamQueue psq(capacity);
+        PsqModel model(capacity);
         std::map<int, ActCount> counts;
 
         for (int step = 0; step < 8000; ++step) {
             if (rng.nextBool(0.03)) {
-                // Mitigation: both backends must pick the same victim.
-                const core::SqEntry* lt = linear.top();
-                const core::SqEntry* ht = heap.top();
-                ASSERT_EQ(lt == nullptr, ht == nullptr);
-                if (lt) {
-                    ASSERT_EQ(lt->row, ht->row) << "step " << step;
-                    ASSERT_EQ(lt->count, ht->count);
-                    counts[lt->row] = 0; // PRAC reset
-                    ASSERT_TRUE(linear.remove(lt->row));
-                    ASSERT_TRUE(heap.remove(ht->row));
+                // Mitigation: the queue and the model pick the same row.
+                const core::SqEntry* top = psq.top();
+                ASSERT_EQ(top ? top->row : kNoRow, model.topRow())
+                    << "step " << step;
+                if (top) {
+                    const int row = top->row;
+                    counts[row] = 0; // PRAC reset
+                    ASSERT_TRUE(psq.remove(row));
+                    ASSERT_TRUE(model.remove(row));
                 }
                 continue;
             }
-            int row = static_cast<int>(rng.nextBelow(48));
-            ActCount c = ++counts[row];
-            core::PsqInsert lr = linear.onActivate(row, c);
-            core::PsqInsert hr = heap.onActivate(row, c);
-            ASSERT_EQ(lr, hr) << "step " << step << " row " << row
-                              << " count " << c;
-            ASSERT_EQ(linear.size(), heap.size());
-            ASSERT_EQ(linear.minCount(), heap.minCount());
-            ASSERT_EQ(linear.maxCount(), heap.maxCount());
-            ASSERT_EQ(linear.contains(row), heap.contains(row));
-            ASSERT_EQ(linear.countOf(row), heap.countOf(row));
+            const int row = static_cast<int>(
+                rng.nextBelow(static_cast<std::uint64_t>(rows)));
+            const ActCount c = ++counts[row];
+            ASSERT_EQ(psq.onActivate(row, c), model.onActivate(row, c))
+                << "step " << step << " row " << row << " count " << c;
+            const core::SqEntry* top = psq.top();
+            ASSERT_EQ(top ? top->row : kNoRow, model.topRow())
+                << "step " << step;
+            ASSERT_EQ(psq.minCount(), model.minCount()) << "step " << step;
+            ASSERT_EQ(psq.maxCount(), model.maxCount()) << "step " << step;
+            ASSERT_EQ(psq.contains(row), model.contains(row));
+            ASSERT_EQ(psq.countOf(row), model.countOf(row));
         }
 
-        // Final state: identical membership, count for count.
-        auto ls = linear.snapshot();
-        auto hs = heap.snapshot();
-        ASSERT_EQ(ls.size(), hs.size());
-        auto byRow = [](const core::SqEntry& a, const core::SqEntry& b) {
-            return a.row < b.row;
-        };
-        std::sort(ls.begin(), ls.end(), byRow);
-        std::sort(hs.begin(), hs.end(), byRow);
-        for (std::size_t i = 0; i < ls.size(); ++i) {
-            ASSERT_EQ(ls[i].row, hs[i].row);
-            ASSERT_EQ(ls[i].count, hs[i].count);
-            ASSERT_EQ(ls[i].seq, hs[i].seq);
-        }
+        std::vector<std::tuple<int, ActCount, std::uint64_t>> held;
+        for (const core::SqEntry& e : psq.snapshot())
+            held.emplace_back(e.row, e.count, e.seq);
+        std::sort(held.begin(), held.end());
+        EXPECT_EQ(held, model.byRow()) << "seed " << seed;
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Capacities, BackendEquivalence,
-                         ::testing::Values(1, 2, 5, 16, 64, 256));
-
-/**
- * Property 7: the full QPRAC engine produces identical mitigation
- * behaviour over the Linear and Heap backends — same alerts, same
- * mitigation counts, same per-bank top counts — on a random stream with
- * RFM/REF opportunities mixed in.
- */
-TEST(Properties, QpracEngineAgreesAcrossEquivalentBackends)
-{
-    Rng rng(31337);
-    PracCounters c1(2, 1024), c2(2, 1024);
-    QpracConfig cfg = QpracConfig::proactiveEa(16, 1);
-    Qprac linear(cfg, &c1);
-    QpracConfig hcfg = cfg;
-    hcfg.backend = core::SqBackendKind::Heap;
-    core::QpracHeap heap(hcfg, &c2);
-
-    for (int step = 0; step < 20000; ++step) {
-        int bank = static_cast<int>(rng.nextBelow(2));
-        if (rng.nextBool(0.01)) {
-            linear.onRefresh(bank, 0);
-            heap.onRefresh(bank, 0);
-        } else if (rng.nextBool(0.02)) {
-            bool alerting = linear.alertingBank() == bank;
-            ASSERT_EQ(alerting, heap.alertingBank() == bank);
-            linear.onRfm(bank, RfmScope::AllBank, alerting, 0);
-            heap.onRfm(bank, RfmScope::AllBank, alerting, 0);
-        } else {
-            int row = static_cast<int>(rng.nextBelow(64)) * 8;
-            ActCount a = c1.onActivate(bank, row);
-            ActCount b = c2.onActivate(bank, row);
-            ASSERT_EQ(a, b);
-            linear.onActivate(bank, row, a, 0);
-            heap.onActivate(bank, row, b, 0);
-        }
-        ASSERT_EQ(linear.wantsAlert(), heap.wantsAlert()) << step;
-        ASSERT_EQ(linear.topCount(bank), heap.topCount(bank)) << step;
-    }
-    EXPECT_EQ(linear.stats().alerts, heap.stats().alerts);
-    EXPECT_EQ(linear.stats().rfm_mitigations, heap.stats().rfm_mitigations);
-    EXPECT_EQ(linear.stats().proactive_mitigations,
-              heap.stats().proactive_mitigations);
-    EXPECT_EQ(linear.stats().psq_insertions, heap.stats().psq_insertions);
-    EXPECT_EQ(linear.stats().psq_evictions, heap.stats().psq_evictions);
-    EXPECT_GT(linear.stats().rfm_mitigations, 0u);
-}
+INSTANTIATE_TEST_SUITE_P(Capacities, PsqDifferential,
+                         ::testing::Values(1, 2, 5, 16, 64));

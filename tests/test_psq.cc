@@ -9,19 +9,12 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/coalescing_queue.h"
-#include "core/heap_queue.h"
 #include "core/psq.h"
-#include "core/service_queue.h"
 
 using qprac::ActCount;
 using qprac::Rng;
-using qprac::core::CoalescingQueue;
-using qprac::core::HeapQueue;
 using qprac::core::LinearCamQueue;
 using qprac::core::PsqInsert;
-using qprac::core::ServiceQueueBackend;
-using qprac::core::SqBackendKind;
 
 TEST(Psq, FillsFreeSlotsFirst)
 {
@@ -179,25 +172,11 @@ TEST_P(PsqPropertyTest, NeverTracksWorseThanTopK)
 INSTANTIATE_TEST_SUITE_P(Capacities, PsqPropertyTest,
                          ::testing::Values(1, 2, 3, 5, 8, 16));
 
-// ---- Backend-generic semantics ---------------------------------------
+// ---- Outcomes and tie-breaks (psq.h) --------------------------------
 
-/**
- * The decision-equivalent backends (see service_queue.h): the canonical
- * PSQ semantics must hold regardless of the data structure behind them.
- * CoalescingQueue is deliberately NOT decision-equivalent (it defers
- * insertions) and is covered separately below.
- */
-template <typename Backend>
-class BackendSemantics : public ::testing::Test
+TEST(Psq, FillThenEvictThenReject)
 {
-};
-
-using EquivalentBackends = ::testing::Types<LinearCamQueue, HeapQueue>;
-TYPED_TEST_SUITE(BackendSemantics, EquivalentBackends);
-
-TYPED_TEST(BackendSemantics, FillThenEvictThenReject)
-{
-    TypeParam q(2);
+    LinearCamQueue q(2);
     EXPECT_EQ(q.onActivate(10, 5), PsqInsert::Inserted);
     EXPECT_EQ(q.onActivate(11, 9), PsqInsert::Inserted);
     EXPECT_TRUE(q.full());
@@ -210,18 +189,18 @@ TYPED_TEST(BackendSemantics, FillThenEvictThenReject)
     EXPECT_TRUE(q.contains(11));
 }
 
-TYPED_TEST(BackendSemantics, HitUpdatesInPlace)
+TEST(Psq, HitUpdatesInPlace)
 {
-    TypeParam q(3);
+    LinearCamQueue q(3);
     q.onActivate(7, 1);
     EXPECT_EQ(q.onActivate(7, 5), PsqInsert::Hit);
     EXPECT_EQ(q.countOf(7), 5u);
     EXPECT_EQ(q.size(), 1);
 }
 
-TYPED_TEST(BackendSemantics, TopAndMinTrackExtremes)
+TEST(Psq, TopAndMinTrackExtremes)
 {
-    TypeParam q(4);
+    LinearCamQueue q(4);
     q.onActivate(1, 5);
     q.onActivate(2, 9);
     q.onActivate(3, 7);
@@ -233,9 +212,9 @@ TYPED_TEST(BackendSemantics, TopAndMinTrackExtremes)
     EXPECT_EQ(q.minCount(), 5u);
 }
 
-TYPED_TEST(BackendSemantics, TopTieBreaksTowardOldest)
+TEST(Psq, TopTieBreaksTowardOldest)
 {
-    TypeParam q(3);
+    LinearCamQueue q(3);
     q.onActivate(30, 4);
     q.onActivate(10, 4);
     q.onActivate(20, 4);
@@ -246,9 +225,9 @@ TYPED_TEST(BackendSemantics, TopTieBreaksTowardOldest)
     EXPECT_EQ(q.top()->row, 10);
 }
 
-TYPED_TEST(BackendSemantics, EvictionTieBreaksTowardOldest)
+TEST(Psq, EvictionTieBreaksTowardOldest)
 {
-    TypeParam q(2);
+    LinearCamQueue q(2);
     q.onActivate(30, 4);
     q.onActivate(10, 4);
     EXPECT_EQ(q.onActivate(20, 5), PsqInsert::Evicted);
@@ -257,151 +236,13 @@ TYPED_TEST(BackendSemantics, EvictionTieBreaksTowardOldest)
     EXPECT_TRUE(q.contains(10));
 }
 
-TYPED_TEST(BackendSemantics, RemoveMakesRoom)
+TEST(Psq, RemoveMakesRoom)
 {
-    TypeParam q(2);
+    LinearCamQueue q(2);
     q.onActivate(1, 8);
     q.onActivate(2, 9);
     EXPECT_TRUE(q.remove(1));
     EXPECT_FALSE(q.remove(1));
     EXPECT_EQ(q.size(), 1);
     EXPECT_EQ(q.onActivate(3, 1), PsqInsert::Inserted);
-}
-
-TYPED_TEST(BackendSemantics, ThroughInterfacePointer)
-{
-    // The virtual interface view used by generic tools.
-    TypeParam concrete(3);
-    ServiceQueueBackend& q = concrete;
-    EXPECT_EQ(q.onActivate(5, 2), PsqInsert::Inserted);
-    EXPECT_EQ(q.capacity(), 3);
-    EXPECT_EQ(q.snapshot().size(), 1u);
-}
-
-// ---- HeapQueue-specific stress ---------------------------------------
-
-TEST(HeapQueue, RandomisedHeapInvariant)
-{
-    Rng rng(7);
-    HeapQueue q(16);
-    std::map<int, ActCount> counts;
-    for (int step = 0; step < 20000; ++step) {
-        if (rng.nextBool(0.05)) {
-            const qprac::core::SqEntry* t = q.top();
-            if (t)
-                q.remove(t->row);
-            continue;
-        }
-        int row = static_cast<int>(rng.nextBelow(64));
-        q.onActivate(row, ++counts[row]);
-        ASSERT_LE(q.size(), 16);
-        // Membership agrees with countOf.
-        ASSERT_EQ(q.contains(row) ? q.countOf(row) > 0 : true, true);
-    }
-    // Snapshot counts never exceed the true counts.
-    for (const auto& e : q.snapshot()) {
-        ASSERT_LE(e.count, counts[e.row]);
-        ASSERT_GT(e.count, 0u);
-    }
-}
-
-// ---- CoalescingQueue -------------------------------------------------
-
-TEST(CoalescingQueue, RepeatActsCoalesceWithoutMainQueueInsertion)
-{
-    CoalescingQueue q(5, 4);
-    EXPECT_EQ(q.onActivate(10, 1), PsqInsert::Inserted); // staged
-    EXPECT_EQ(q.onActivate(10, 2), PsqInsert::Hit);      // coalesced
-    EXPECT_EQ(q.onActivate(10, 3), PsqInsert::Hit);      // coalesced
-    EXPECT_EQ(q.coalescedActs(), 2u);
-    EXPECT_EQ(q.windowSize(), 1);
-    EXPECT_EQ(q.countOf(10), 3u);
-}
-
-TEST(CoalescingQueue, StagedRowsAreVisibleAndMitigable)
-{
-    CoalescingQueue q(5, 4);
-    q.onActivate(10, 7); // staged, hottest overall
-    q.onActivate(11, 3);
-    ASSERT_NE(q.top(), nullptr);
-    EXPECT_EQ(q.top()->row, 10);
-    EXPECT_EQ(q.maxCount(), 7u);
-    EXPECT_TRUE(q.contains(10));
-    // Mitigation removes a staged row directly from the window.
-    EXPECT_TRUE(q.remove(10));
-    EXPECT_FALSE(q.contains(10));
-    EXPECT_EQ(q.top()->row, 11);
-}
-
-TEST(CoalescingQueue, WindowOverflowDrainsHottestFirst)
-{
-    CoalescingQueue q(2, 2); // tiny: 2 CAM entries, 2 staging slots
-    q.onActivate(1, 5);
-    q.onActivate(2, 9);
-    EXPECT_EQ(q.windowSize(), 2);
-    // Third distinct row forces a drain; both staged rows reach the CAM
-    // (it has room), then row 3 is staged.
-    q.onActivate(3, 1);
-    EXPECT_EQ(q.windowSize(), 1);
-    EXPECT_TRUE(q.contains(1));
-    EXPECT_TRUE(q.contains(2));
-    EXPECT_TRUE(q.contains(3));
-    EXPECT_EQ(q.maxCount(), 9u);
-}
-
-TEST(CoalescingQueue, HottestRowNeverLostUnderPressure)
-{
-    // The Fill+Escape concern, restated for the coalescing front: a row
-    // with the globally highest count must stay visible through any
-    // stage/drain sequence.
-    Rng rng(21);
-    CoalescingQueue q(5, 4);
-    std::map<int, ActCount> counts;
-    for (int step = 0; step < 5000; ++step) {
-        int row = static_cast<int>(rng.nextBelow(32));
-        ActCount c = ++counts[row];
-        q.onActivate(row, c);
-        ActCount best = 0;
-        int hottest = -1;
-        bool unique = true;
-        for (auto& [r, cc] : counts) {
-            if (cc > best) {
-                best = cc;
-                hottest = r;
-                unique = true;
-            } else if (cc == best) {
-                unique = false;
-            }
-        }
-        if (unique && row == hottest) {
-            ASSERT_TRUE(q.contains(hottest)) << "step " << step;
-            ASSERT_EQ(q.maxCount(), best);
-        }
-    }
-}
-
-// ---- Backend factory -------------------------------------------------
-
-TEST(ServiceQueueFactory, MakesEveryKind)
-{
-    for (SqBackendKind kind : qprac::core::allSqBackends()) {
-        auto q = qprac::core::makeServiceQueue(kind, 5);
-        ASSERT_NE(q, nullptr) << qprac::core::sqBackendName(kind);
-        EXPECT_EQ(q->onActivate(1, 1), PsqInsert::Inserted);
-        EXPECT_TRUE(q->contains(1));
-    }
-}
-
-TEST(ServiceQueueFactory, ParsesNamesAndAliases)
-{
-    SqBackendKind kind;
-    EXPECT_TRUE(qprac::core::parseSqBackend("linear", &kind));
-    EXPECT_EQ(kind, SqBackendKind::Linear);
-    EXPECT_TRUE(qprac::core::parseSqBackend("heap", &kind));
-    EXPECT_EQ(kind, SqBackendKind::Heap);
-    EXPECT_TRUE(qprac::core::parseSqBackend("coalescing", &kind));
-    EXPECT_EQ(kind, SqBackendKind::Coalescing);
-    EXPECT_TRUE(qprac::core::parseSqBackend("cnc", &kind));
-    EXPECT_EQ(kind, SqBackendKind::Coalescing);
-    EXPECT_FALSE(qprac::core::parseSqBackend("btree", &kind));
 }

@@ -226,6 +226,11 @@ TEST(Qprac, IdealMatchesBruteForceMaximum)
     }
     EXPECT_GT(mitigations, 500);
     EXPECT_GT(q.stats().proactive_mitigations, 0u);
+    // Ideal keeps no PSQ: no PSQ traffic and no queue to sample.
+    EXPECT_EQ(q.stats().psq_insertions, 0u);
+    EXPECT_EQ(q.stats().psq_evictions, 0u);
+    EXPECT_EQ(q.stats().psq_hits, 0u);
+    EXPECT_EQ(q.queueOccupancy(), -1);
 }
 
 TEST(Qprac, IdealTieGoesToTheRowThatReachedTheCountFirst)

@@ -125,7 +125,7 @@ TEST(ScenarioConfigTest, SetRejectsUnknownKeysAndBadValues)
     EXPECT_FALSE(cfg.set("no_such_key", "1", &err));
     EXPECT_NE(err.find("unknown config key"), std::string::npos);
     // Retired keys are unknown keys, not aliases.
-    for (const char* key : {"subarrays", "cuq_depth"}) {
+    for (const char* key : {"subarrays", "cuq_depth", "backend"}) {
         EXPECT_FALSE(cfg.set(key, "16", &err)) << key;
         EXPECT_NE(err.find("unknown config key"), std::string::npos)
             << err;
@@ -135,7 +135,6 @@ TEST(ScenarioConfigTest, SetRejectsUnknownKeysAndBadValues)
     const std::vector<std::pair<std::string, std::string>> bad = {
         {"source", "attack:not-an-attack"},
         {"mitigation", "no-such-design"},
-        {"backend", "quantum"},
         {"psq_size", "-3"},
         {"nbo", "0"},
         {"nmit", "65"},
@@ -198,8 +197,7 @@ TEST(ScenarioConfigTest, RoundTripIsIdentity)
     // Every key, each set away from its default.
     const std::vector<std::pair<std::string, std::string>> sets = {
         {"source", "attack:perf"},
-        {"mitigation", "qprac@heap"},
-        {"backend", "coalescing"},
+        {"mitigation", "qprac-ideal"},
         {"psq_size", "7"},
         {"nbo", "64"},
         {"nmit", "2"},
@@ -417,6 +415,29 @@ TEST(ScenarioRegistryTest, RunsAttackScenarioThroughSameSurface)
     EXPECT_GT(res.stats.get("attack.target_unmitigated_acts"), 0.0);
 }
 
+TEST(ScenarioRegistryTest, WaveAttackRejectsDesignsItDoesNotModel)
+{
+    ScenarioConfig cfg;
+    std::string err;
+    ASSERT_TRUE(cfg.set("source", "attack:wave", &err)) << err;
+    for (const char* design : {"qprac", "qprac-noop", "qprac+proactive",
+                               "qprac+proactive-ea", "qprac-ideal"}) {
+        ASSERT_TRUE(cfg.set("mitigation", design, &err)) << err;
+        EXPECT_TRUE(cfg.validate(&err)) << design << ": " << err;
+    }
+    // The harness drives one QPRAC engine: any other design would run
+    // as QPRAC under its own name.
+    for (const char* design : {"none", "moat", "panopticon"}) {
+        ASSERT_TRUE(cfg.set("mitigation", design, &err)) << err;
+        EXPECT_FALSE(cfg.validate(&err)) << design;
+        EXPECT_NE(err.find("models QPRAC designs only"), std::string::npos)
+            << err;
+    }
+    // Workloads take every design.
+    ASSERT_TRUE(cfg.set("source", "workload:429.mcf", &err)) << err;
+    EXPECT_TRUE(cfg.validate(&err)) << err;
+}
+
 TEST(ScenarioRegistryTest, SeedReproducesAndPerturbsRuns)
 {
     clearHarnessEnv();
@@ -494,12 +515,13 @@ TEST(SweepTest, ParsesListsAndRanges)
 {
     SweepAxis axis;
     std::string err;
-    ASSERT_TRUE(
-        SweepAxis::parse("backend=linear,heap,coalescing", &axis, &err))
+    ASSERT_TRUE(SweepAxis::parse(
+        "mapping=row-major,bank-striped,channel-striped", &axis, &err))
         << err;
-    EXPECT_EQ(axis.key, "backend");
+    EXPECT_EQ(axis.key, "mapping");
     EXPECT_EQ(axis.values,
-              (std::vector<std::string>{"linear", "heap", "coalescing"}));
+              (std::vector<std::string>{"row-major", "bank-striped",
+                                        "channel-striped"}));
     ASSERT_TRUE(SweepAxis::parse("psq_size=1:5", &axis, &err)) << err;
     EXPECT_EQ(axis.values,
               (std::vector<std::string>{"1", "2", "3", "4", "5"}));
@@ -519,7 +541,10 @@ TEST(SweepTest, RejectsMalformedAxes)
     EXPECT_FALSE(SweepAxis::parse("psq_size=", &axis, &err));
     EXPECT_FALSE(SweepAxis::parse("psq_size=5:1", &axis, &err));
     EXPECT_FALSE(SweepAxis::parse("psq_size=1:9:0", &axis, &err));
-    EXPECT_FALSE(SweepAxis::parse("backend=linear,,heap", &axis, &err));
+    EXPECT_FALSE(SweepAxis::parse("mapping=row-major,,bank-striped", &axis,
+                                  &err));
+    // A retired key is an unknown axis.
+    EXPECT_FALSE(SweepAxis::parse("backend=linear,heap", &axis, &err));
 
     // A duplicate axis key would silently mislabel the grid.
     SweepSpec spec;
@@ -575,16 +600,16 @@ TEST(SweepTest, EnumeratesCrossProductDeterministically)
     EXPECT_EQ(points[1][0].second, "2");
 
     // Two axes: first axis varies slowest.
-    ASSERT_TRUE(spec.add("backend=linear,heap", &err)) << err;
+    ASSERT_TRUE(spec.add("nbo=16,32", &err)) << err;
     EXPECT_EQ(spec.points(), 6u);
     points = spec.enumerate();
     ASSERT_EQ(points.size(), 6u);
     EXPECT_EQ(points[0][0].second, "1");
-    EXPECT_EQ(points[0][1].second, "linear");
+    EXPECT_EQ(points[0][1].second, "16");
     EXPECT_EQ(points[1][0].second, "1");
-    EXPECT_EQ(points[1][1].second, "heap");
+    EXPECT_EQ(points[1][1].second, "32");
     EXPECT_EQ(points[5][0].second, "3");
-    EXPECT_EQ(points[5][1].second, "heap");
+    EXPECT_EQ(points[5][1].second, "32");
 }
 
 TEST(SweepTest, RunSweepKeepsEnumerationOrderAndValidates)

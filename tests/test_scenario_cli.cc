@@ -166,8 +166,7 @@ TEST(QpracSimCliGolden, LegacyBaselineRun)
 {
     clearHarnessEnv();
     EXPECT_EQ(run({"--insts", "6000", "--cores", "1", "--mitigation",
-                   "qprac", "--backend", "heap", "--psq-size", "3",
-                   "--baseline"}),
+                   "qprac", "--psq-size", "3", "--baseline"}),
               kGoldenBaseline);
 }
 
@@ -178,7 +177,6 @@ TEST(QpracSimCliGolden, ConfigFileReproducesLegacyRunExactly)
                                  "# golden baseline run as a config\n"
                                  "[design]\n"
                                  "mitigation = qprac\n"
-                                 "backend = heap\n"
                                  "psq_size = 3\n"
                                  "[run]\n"
                                  "insts = 6000\n"
@@ -194,9 +192,43 @@ TEST(QpracSimCliGolden, SetOverridesReproduceLegacyRunExactly)
         writeTemp("golden_sparse.ini", "insts = 6000\ncores = 1\n");
     // Later --set wins over both the file and earlier --set values.
     EXPECT_EQ(run({"--config", path, "--set", "mitigation=qprac",
-                   "--set", "backend=linear", "--set", "backend=heap",
-                   "--set", "psq_size=3", "--set", "baseline=true"}),
+                   "--set", "psq_size=7", "--set", "psq_size=3",
+                   "--set", "baseline=true"}),
               kGoldenBaseline);
+}
+
+TEST(QpracSimCli, RetiredBackendSpellingsAreRejected)
+{
+    clearHarnessEnv();
+    // The service-queue backend layer is gone: its key, flag and design
+    // suffix are unknown spellings, not aliases.
+    const std::string key = "backend";
+    const std::string unknown_key = "unknown config key '" + key + "'";
+    std::string out;
+    std::string err;
+    EXPECT_EQ(runQpracSimCli({"--set", key + "=heap"}, &out, &err), 2);
+    EXPECT_NE(err.find(unknown_key), std::string::npos) << err;
+    err.clear();
+    EXPECT_EQ(runQpracSimCli({"--sweep", key + "=linear,heap"}, &out, &err),
+              2);
+    EXPECT_NE(err.find(unknown_key), std::string::npos) << err;
+    err.clear();
+    const std::string ini = writeTemp("retired_backend.ini",
+                                      "mitigation = qprac\n" + key +
+                                          " = linear\n");
+    EXPECT_EQ(runQpracSimCli({"--config", ini}, &out, &err), 2);
+    EXPECT_NE(err.find(unknown_key), std::string::npos) << err;
+    err.clear();
+    EXPECT_EQ(runQpracSimCli({"--" + key, "heap"}, &out, &err), 2);
+    EXPECT_NE(err.find("unknown argument '--" + key + "'"),
+              std::string::npos)
+        << err;
+    err.clear();
+    EXPECT_EQ(runQpracSimCli({"--mitigation", "qprac@heap"}, &out, &err),
+              2);
+    EXPECT_NE(err.find("unknown mitigation design"), std::string::npos)
+        << err;
+    EXPECT_EQ(run({"--help"}).find(key), std::string::npos);
 }
 
 TEST(QpracSimCli, RejectsGarbageNumbersLoudly)

@@ -91,7 +91,6 @@ TEST(ScenarioHash, ResultBearingKeysEachMoveTheHash)
     const std::vector<std::pair<std::string, std::string>> changes = {
         {"source", "workload:470.lbm"},
         {"mitigation", "moat"},
-        {"backend", "heap"},
         {"psq_size", "9"},
         {"nbo", "16"},
         {"nmit", "2"},
@@ -127,8 +126,12 @@ TEST(ScenarioHash, CanonicalKeyShape)
     };
     const std::string key = scenarioCanonicalKey(ScenarioConfig{});
     EXPECT_EQ(key.rfind("qprac-scenario-v1\n", 0), 0u) << key;
-    // The retired corepar key keeps its fixed line, so existing hashes
-    // and cache sidecars stay valid.
+    // The retired backend and corepar keys keep their fixed lines, so
+    // existing hashes and cache sidecars stay valid.
+    EXPECT_NE(key.find("\nmitigation=qprac+proactive-ea"
+                       "\nbackend=\npsq_size="),
+              std::string::npos)
+        << key;
     EXPECT_NE(key.find("\nattack_cycles=default\ncorepar=off\n"),
               std::string::npos)
         << key;
