@@ -20,7 +20,8 @@ class WaveHarness
 {
   public:
     WaveHarness(const WaveAttackConfig& cfg, int rows)
-        : cfg_(cfg), ctrs_(1, rows, 2), mit_(makeConfig(cfg), &ctrs_)
+        : cfg_(cfg), ctrs_(1, rows, 2), mit_(makeConfig(cfg), &ctrs_),
+          acts_to_ref_(cfg.ref_period_acts)
     {
     }
 
@@ -43,9 +44,14 @@ class WaveHarness
     /** One ACT; returns the row's new count. Handles REF + ABO flow. */
     ActCount activate(int row)
     {
-        if (cfg_.proactive && total_acts_ > 0 &&
-            total_acts_ % cfg_.ref_period_acts == 0)
-            mit_.onRefresh(0, static_cast<Cycle>(total_acts_));
+        // A REF slot falls after every ref_period_acts ACTs.
+        if (cfg_.proactive) {
+            if (acts_to_ref_ == 0) {
+                mit_.onRefresh(0, static_cast<Cycle>(total_acts_));
+                acts_to_ref_ = cfg_.ref_period_acts;
+            }
+            --acts_to_ref_;
+        }
         ActCount c = ctrs_.onActivate(0, row);
         mit_.onActivate(0, row, c, static_cast<Cycle>(total_acts_));
         ++total_acts_;
@@ -98,6 +104,8 @@ class WaveHarness
     WaveAttackConfig cfg_;
     PracCounters ctrs_;
     Qprac mit_;
+    /** ACTs left before the next REF slot (proactive only). */
+    int acts_to_ref_;
     long total_acts_ = 0;
     long alerts_ = 0;
     int pending_abo_acts_ = 0;

@@ -56,6 +56,24 @@ strCat(const Args&... args)
     return os.str();
 }
 
+namespace detail {
+
+/**
+ * QP_ASSERT's failure path. Out of line and cold, so a check compiles
+ * to a compare and a branch and the accessors holding one still inline
+ * into their callers.
+ */
+template <typename... Args>
+[[noreturn, gnu::cold, gnu::noinline]] void
+assertFailed(const char* cond, const char* file, int line,
+             const Args&... args)
+{
+    panic(strCat("assertion failed: ", cond, " @ ", file, ":", line, " ",
+                 args...));
+}
+
+} // namespace detail
+
 } // namespace qprac
 
 /**
@@ -64,11 +82,9 @@ strCat(const Args&... args)
  */
 #define QP_ASSERT(cond, ...)                                              \
     do {                                                                  \
-        if (!(cond)) {                                                    \
-            ::qprac::panic(::qprac::strCat("assertion failed: ", #cond,   \
-                                           " @ ", __FILE__, ":",          \
-                                           __LINE__, " ", __VA_ARGS__));  \
-        }                                                                 \
+        if (!(cond))                                                      \
+            ::qprac::detail::assertFailed(#cond, __FILE__, __LINE__,      \
+                                          __VA_ARGS__);                   \
     } while (0)
 
 #endif // QPRAC_COMMON_LOG_H

@@ -23,40 +23,12 @@ int
 LinearCamQueue::findMin() const
 {
     QP_ASSERT(size_ > 0, "findMin on empty PSQ");
-    // Tie-break (see psq.h): lowest count, then oldest entry.
     int best = 0;
-    for (int i = 1; i < size_; ++i) {
-        const Entry& e = entries_[static_cast<std::size_t>(i)];
-        const Entry& b = entries_[static_cast<std::size_t>(best)];
-        if (e.count < b.count || (e.count == b.count && e.seq < b.seq))
+    for (int i = 1; i < size_; ++i)
+        if (evictsBefore(entries_[static_cast<std::size_t>(i)],
+                         entries_[static_cast<std::size_t>(best)]))
             best = i;
-    }
     return best;
-}
-
-PsqInsert
-LinearCamQueue::onActivate(int row, ActCount count)
-{
-    int idx = findRow(row);
-    if (idx >= 0) {
-        // Row already tracked: synchronize with the in-DRAM count.
-        entries_[static_cast<std::size_t>(idx)].count = count;
-        return PsqInsert::Hit;
-    }
-    if (size_ < capacity()) {
-        entries_[static_cast<std::size_t>(size_++)] = {row, count,
-                                                       next_seq_++};
-        return PsqInsert::Inserted;
-    }
-    // Priority-based insertion: only displace the minimum if the new
-    // count is strictly higher (paper §III-B2).
-    int min_idx = findMin();
-    if (count > entries_[static_cast<std::size_t>(min_idx)].count) {
-        entries_[static_cast<std::size_t>(min_idx)] = {row, count,
-                                                       next_seq_++};
-        return PsqInsert::Evicted;
-    }
-    return PsqInsert::Rejected;
 }
 
 const LinearCamQueue::Entry*

@@ -101,6 +101,13 @@ class LinearCamQueue
     static int storageBits(int capacity, int row_bits, int ctr_bits);
 
   private:
+    /** Eviction order: lower count first, then older (see above). */
+    static bool
+    evictsBefore(const Entry& a, const Entry& b)
+    {
+        return a.count < b.count || (a.count == b.count && a.seq < b.seq);
+    }
+
     int findRow(int row) const;
     int findMin() const;
 
@@ -108,6 +115,37 @@ class LinearCamQueue
     int size_ = 0;
     std::uint64_t next_seq_ = 0;
 };
+
+inline PsqInsert
+LinearCamQueue::onActivate(int row, ActCount count)
+{
+    // One pass finds the row and, should it miss a full queue, the entry
+    // to displace.
+    int min_idx = 0;
+    for (int i = 0; i < size_; ++i) {
+        Entry& e = entries_[static_cast<std::size_t>(i)];
+        if (e.row == row) {
+            // Row already tracked: synchronize with the in-DRAM count.
+            e.count = count;
+            return PsqInsert::Hit;
+        }
+        if (evictsBefore(e, entries_[static_cast<std::size_t>(min_idx)]))
+            min_idx = i;
+    }
+    if (size_ < capacity()) {
+        entries_[static_cast<std::size_t>(size_++)] = {row, count,
+                                                       next_seq_++};
+        return PsqInsert::Inserted;
+    }
+    // Priority-based insertion: only displace the minimum if the new
+    // count is strictly higher (paper §III-B2).
+    Entry& lowest = entries_[static_cast<std::size_t>(min_idx)];
+    if (count > lowest.count) {
+        lowest = {row, count, next_seq_++};
+        return PsqInsert::Evicted;
+    }
+    return PsqInsert::Rejected;
+}
 
 } // namespace qprac::core
 

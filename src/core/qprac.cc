@@ -176,55 +176,11 @@ Qprac::Qprac(const QpracConfig& config, dram::PracCounters* counters)
 }
 
 void
-Qprac::activateOne(int flat_bank, int row, ActCount count)
-{
-    if (config_.ideal) {
-        ideal_->raise(flat_bank, row, count);
-    } else {
-        auto& psq = psqs_[static_cast<std::size_t>(flat_bank)];
-        switch (psq.onActivate(row, count)) {
-          case PsqInsert::Hit:
-            ++stats_.psq_hits;
-            break;
-          case PsqInsert::Inserted:
-            ++stats_.psq_insertions;
-            break;
-          case PsqInsert::Evicted:
-            ++stats_.psq_insertions;
-            ++stats_.psq_evictions;
-            break;
-          case PsqInsert::Rejected:
-            break;
-        }
-    }
-
-    if (count >= static_cast<ActCount>(config_.nbo) &&
-        !over_threshold_[static_cast<std::size_t>(flat_bank)]) {
-        over_threshold_[static_cast<std::size_t>(flat_bank)] = 1;
-        ++num_over_;
-        ++stats_.alerts;
-    }
-}
-
-void
-Qprac::onActivate(int flat_bank, int row, ActCount count, Cycle cycle)
-{
-    (void)cycle;
-    activateOne(flat_bank, row, count);
-}
-
-void
 Qprac::onActivateBatch(const dram::ActEvent* events, int n)
 {
     // One virtual entry for the whole burst.
     for (int i = 0; i < n; ++i)
         activateOne(events[i].flat_bank, events[i].row, events[i].count);
-}
-
-bool
-Qprac::wantsAlert() const
-{
-    return num_over_ > 0;
 }
 
 int

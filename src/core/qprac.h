@@ -141,9 +141,13 @@ class Qprac final : public dram::RowhammerMitigation
     Qprac(const QpracConfig& config, dram::PracCounters* counters);
 
     void onActivate(int flat_bank, int row, ActCount count,
-                    Cycle cycle) override;
+                    Cycle cycle) override
+    {
+        (void)cycle;
+        activateOne(flat_bank, row, count);
+    }
     void onActivateBatch(const dram::ActEvent* events, int n) override;
-    bool wantsAlert() const override;
+    bool wantsAlert() const override { return num_over_ > 0; }
     ActCount alertRiseThreshold() const override
     {
         return static_cast<ActCount>(config_.nbo);
@@ -188,6 +192,37 @@ class Qprac final : public dram::RowhammerMitigation
     int num_over_ = 0;
     dram::MitigationStats stats_;
 };
+
+inline void
+Qprac::activateOne(int flat_bank, int row, ActCount count)
+{
+    if (config_.ideal) {
+        ideal_->raise(flat_bank, row, count);
+    } else {
+        auto& psq = psqs_[static_cast<std::size_t>(flat_bank)];
+        switch (psq.onActivate(row, count)) {
+          case PsqInsert::Hit:
+            ++stats_.psq_hits;
+            break;
+          case PsqInsert::Inserted:
+            ++stats_.psq_insertions;
+            break;
+          case PsqInsert::Evicted:
+            ++stats_.psq_insertions;
+            ++stats_.psq_evictions;
+            break;
+          case PsqInsert::Rejected:
+            break;
+        }
+    }
+
+    if (count >= static_cast<ActCount>(config_.nbo) &&
+        !over_threshold_[static_cast<std::size_t>(flat_bank)]) {
+        over_threshold_[static_cast<std::size_t>(flat_bank)] = 1;
+        ++num_over_;
+        ++stats_.alerts;
+    }
+}
 
 } // namespace qprac::core
 

@@ -174,30 +174,6 @@ AboEngine::nextEventAt(const dram::DramDevice& dev, Cycle now) const
     return at;
 }
 
-bool
-AboEngine::allowAct() const
-{
-    switch (state_) {
-      case State::Idle:
-        return true;
-      case State::Window:
-        return window_acts_ < t_.abo_act_max;
-      case State::Quiesce:
-      case State::Pumping:
-        return false;
-    }
-    return false;
-}
-
-bool
-AboEngine::allowCas() const
-{
-    // CAS may drain during Quiesce: open rows with pending hits are
-    // served before their precharge (otherwise dense RFM pacing would
-    // close rows faster than their requests can ever complete).
-    return state_ != State::Pumping;
-}
-
 void
 AboEngine::noteActIssued(int bank)
 {

@@ -89,10 +89,28 @@ class AboEngine
     bool channelScope() const { return policy_->channelScope(); }
 
     /** May the controller issue an ACT this cycle? (channel gate) */
-    bool allowAct() const;
+    bool allowAct() const
+    {
+        switch (state_) {
+          case State::Idle:
+            return true;
+          case State::Window:
+            return window_acts_ < t_.abo_act_max;
+          case State::Quiesce:
+          case State::Pumping:
+            return false;
+        }
+        return false;
+    }
 
     /** May the controller issue a CAS this cycle? (channel gate) */
-    bool allowCas() const;
+    bool allowCas() const
+    {
+        // CAS may drain during Quiesce: open rows with pending hits are
+        // served before their precharge (otherwise dense RFM pacing would
+        // close rows faster than their requests can ever complete).
+        return state_ != State::Pumping;
+    }
 
     /** Per-bank gates: the channel gate AND @p bank's recovery state. */
     bool allowAct(int bank) const

@@ -40,19 +40,6 @@ RefreshScheduler::tick(dram::DramDevice& dev, Cycle now)
     }
 }
 
-bool
-RefreshScheduler::refPending(int rank) const
-{
-    return ranks_[static_cast<std::size_t>(rank)].pending;
-}
-
-Cycle
-RefreshScheduler::pendingSince(int rank) const
-{
-    const auto& st = ranks_[static_cast<std::size_t>(rank)];
-    return st.pending ? st.pending_since : kNeverCycle;
-}
-
 Cycle
 RefreshScheduler::nextEventAt(const dram::DramDevice& dev, Cycle now) const
 {

@@ -40,10 +40,17 @@ class RefreshScheduler
     void tick(dram::DramDevice& dev, Cycle now);
 
     /** True while a REF is due for @p rank (controller must quiesce). */
-    bool refPending(int rank) const;
+    bool refPending(int rank) const
+    {
+        return ranks_[static_cast<std::size_t>(rank)].pending;
+    }
 
     /** Cycle the pending REF was first due (kNeverCycle if none). */
-    Cycle pendingSince(int rank) const;
+    Cycle pendingSince(int rank) const
+    {
+        const auto& st = ranks_[static_cast<std::size_t>(rank)];
+        return st.pending ? st.pending_since : kNeverCycle;
+    }
 
     /**
      * Event horizon: earliest future cycle this scheduler can change

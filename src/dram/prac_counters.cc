@@ -23,29 +23,6 @@ PracCounters::PracCounters(int num_banks, int rows_per_bank,
     QP_ASSERT(counts_ != nullptr, "out of memory for PRAC counters");
 }
 
-std::size_t
-PracCounters::index(int bank, int row) const
-{
-    QP_ASSERT(bank >= 0 && bank < num_banks_, "bank out of range");
-    QP_ASSERT(row >= 0 && row < rows_per_bank_, "row out of range");
-    return static_cast<std::size_t>(bank) *
-               static_cast<std::size_t>(rows_per_bank_) +
-           static_cast<std::size_t>(row);
-}
-
-ActCount
-PracCounters::onActivate(int bank, int row)
-{
-    ++total_acts_;
-    return ++counts_[index(bank, row)];
-}
-
-ActCount
-PracCounters::count(int bank, int row) const
-{
-    return counts_[index(bank, row)];
-}
-
 int
 PracCounters::mitigate(int bank, int row, VictimInfo* victims,
                        bool reset_aggressor)

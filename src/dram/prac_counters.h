@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "common/log.h"
 #include "common/types.h"
 
 namespace qprac::dram {
@@ -39,10 +40,17 @@ class PracCounters
     PracCounters(int num_banks, int rows_per_bank, int blast_radius = 2);
 
     /** Increment on ACT; returns the post-increment count. */
-    ActCount onActivate(int bank, int row);
+    ActCount onActivate(int bank, int row)
+    {
+        ++total_acts_;
+        return ++counts_[index(bank, row)];
+    }
 
     /** Current counter value. */
-    ActCount count(int bank, int row) const;
+    ActCount count(int bank, int row) const
+    {
+        return counts_[index(bank, row)];
+    }
 
     /**
      * Result of mitigating one aggressor row: the refreshed victims and
@@ -88,7 +96,14 @@ class PracCounters
 
   private:
     /** Position of (@p bank, @p row) in counts_ (range-checked). */
-    std::size_t index(int bank, int row) const;
+    std::size_t index(int bank, int row) const
+    {
+        QP_ASSERT(bank >= 0 && bank < num_banks_, "bank out of range");
+        QP_ASSERT(row >= 0 && row < rows_per_bank_, "row out of range");
+        return static_cast<std::size_t>(bank) *
+                   static_cast<std::size_t>(rows_per_bank_) +
+               static_cast<std::size_t>(row);
+    }
 
     struct FreeDeleter
     {

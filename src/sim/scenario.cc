@@ -468,13 +468,16 @@ ScenarioConfig::validate(std::string* err) const
                           "' is a single-channel event model");
         return false;
     }
-    // The Wave harness drives one QPRAC engine; any other design would
-    // silently run as QPRAC.
-    if (sourceKind() == SourceKind::Attack && sourceName() == "wave" &&
-        mitigation.rfind("qprac", 0) != 0) {
+    // The Wave and perf harnesses drive one QPRAC engine; any other
+    // design would silently run as QPRAC. `none` turns perf's engine off.
+    const bool qprac_only = sourceKind() == SourceKind::Attack &&
+                            (sourceName() == "wave" || sourceName() == "perf");
+    if (qprac_only && mitigation.rfind("qprac", 0) != 0 &&
+        !(sourceName() == "perf" && mitigation == "none")) {
         if (err)
-            *err = strCat("attack 'wave' models QPRAC designs only, not '",
-                          mitigation, "'");
+            *err = strCat("attack '", sourceName(),
+                          "' models QPRAC designs only, not '", mitigation,
+                          "'");
         return false;
     }
     return true;

@@ -106,6 +106,16 @@ TEST(StrCat, ConcatenatesMixedTypes)
     EXPECT_EQ(strCat(), "");
 }
 
+TEST(QpAssert, FailureMessageKeepsItsShape)
+{
+    // assertion failed: <cond> @ <file>:<line> <args>, the arguments
+    // streamed together, from the out-of-line failure path.
+    const int value = 7;
+    EXPECT_DEATH(QP_ASSERT(value < 3, "value ", value, " of ", 3),
+                 "panic: assertion failed: value < 3 @ .*test_common\\.cc"
+                 ":[0-9]+ value 7 of 3\n");
+}
+
 TEST(Csv, WritesHeaderAndRows)
 {
     std::string path = "/tmp/qprac_csv_test.csv";

@@ -71,6 +71,14 @@ TEST(DramDevice, ActIncrementsPracAndNotifiesMitigation)
     EXPECT_TRUE(q.psq(0).contains(100));
 }
 
+TEST(DramDevice, BankOutOfRangeDies)
+{
+    DramDevice dev(smallOrg(), TimingParams::ddr5Prac());
+    const DramDevice& view = dev;
+    EXPECT_DEATH(dev.bank(dev.numBanks()), "bank out of range");
+    EXPECT_DEATH(view.bank(-1), "bank out of range");
+}
+
 TEST(DramDevice, ActNotificationsAreBatchedUntilObserved)
 {
     DramDevice dev(smallOrg(), TimingParams::ddr5Prac());

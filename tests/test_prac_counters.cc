@@ -44,6 +44,20 @@ TEST(PracCounters, BlastRadiusMustFitTheVictimArrays)
                  "blast radius overflows the victim arrays");
 }
 
+TEST(PracCounters, OutOfRangeRowsAndBanksDie)
+{
+    // The accessors inline into their callers; each keeps its checks.
+    PracCounters c(2, 64);
+    PracCounters::VictimInfo victims[PracCounters::kMaxVictims];
+    EXPECT_DEATH(c.count(0, 64), "row out of range");
+    EXPECT_DEATH(c.count(1, -1), "row out of range");
+    EXPECT_DEATH(c.count(2, 0), "bank out of range");
+    EXPECT_DEATH(c.onActivate(0, 64), "row out of range");
+    EXPECT_DEATH(c.onActivate(-1, 0), "bank out of range");
+    EXPECT_DEATH(c.mitigate(0, -1, victims), "row out of range");
+    EXPECT_DEATH(c.mitigate(2, 0, victims), "bank out of range");
+}
+
 TEST(PracCounters, MitigateWithoutResetKeepsAggressorCount)
 {
     // Panopticon's t-bit mode: the counter keeps running.

@@ -419,20 +419,32 @@ TEST(ScenarioRegistryTest, WaveAttackRejectsDesignsItDoesNotModel)
 {
     ScenarioConfig cfg;
     std::string err;
+    for (const char* source : {"attack:wave", "attack:perf"}) {
+        ASSERT_TRUE(cfg.set("source", source, &err)) << err;
+        for (const char* design :
+             {"qprac", "qprac-noop", "qprac+proactive",
+              "qprac+proactive-ea", "qprac-ideal"}) {
+            ASSERT_TRUE(cfg.set("mitigation", design, &err)) << err;
+            EXPECT_TRUE(cfg.validate(&err))
+                << source << ' ' << design << ": " << err;
+        }
+        // Each harness drives one QPRAC engine: any other design would
+        // run as QPRAC under its own name.
+        for (const char* design : {"moat", "panopticon"}) {
+            ASSERT_TRUE(cfg.set("mitigation", design, &err)) << err;
+            EXPECT_FALSE(cfg.validate(&err)) << source << ' ' << design;
+            EXPECT_NE(err.find("models QPRAC designs only"),
+                      std::string::npos)
+                << err;
+        }
+    }
+    // `none` turns perf's engine off; Wave has no unmitigated mode.
+    ASSERT_TRUE(cfg.set("mitigation", "none", &err)) << err;
+    EXPECT_TRUE(cfg.validate(&err)) << err;
     ASSERT_TRUE(cfg.set("source", "attack:wave", &err)) << err;
-    for (const char* design : {"qprac", "qprac-noop", "qprac+proactive",
-                               "qprac+proactive-ea", "qprac-ideal"}) {
-        ASSERT_TRUE(cfg.set("mitigation", design, &err)) << err;
-        EXPECT_TRUE(cfg.validate(&err)) << design << ": " << err;
-    }
-    // The harness drives one QPRAC engine: any other design would run
-    // as QPRAC under its own name.
-    for (const char* design : {"none", "moat", "panopticon"}) {
-        ASSERT_TRUE(cfg.set("mitigation", design, &err)) << err;
-        EXPECT_FALSE(cfg.validate(&err)) << design;
-        EXPECT_NE(err.find("models QPRAC designs only"), std::string::npos)
-            << err;
-    }
+    EXPECT_FALSE(cfg.validate(&err));
+    EXPECT_NE(err.find("models QPRAC designs only"), std::string::npos)
+        << err;
     // Workloads take every design.
     ASSERT_TRUE(cfg.set("source", "workload:429.mcf", &err)) << err;
     EXPECT_TRUE(cfg.validate(&err)) << err;

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "attacks/wave_attack.h"
@@ -121,22 +122,41 @@ INSTANTIATE_TEST_SUITE_P(Sizes, WaveEquivalence,
 
 TEST(WaveAttack, IdealGridMatchesParentResults)
 {
-    // The oracle is the reference of the §IV-B comparison, so how it
-    // finds its top row must never move a Wave result. The hash covers
-    // every WaveAttackResult field of each Ideal point; it was recorded
-    // with the lazy-heap tracker the count buckets replaced.
-    std::string bytes;
-    for (int psq = 1; psq <= 8; ++psq)
-        for (int nbo : {16, 32, 64})
-            for (long r1 : {10L, 100L, 1000L}) {
-                WaveAttackConfig c = cfg(nbo, 1, r1, true);
-                c.psq_size = psq;
-                auto r = simulateWaveAttack(c);
-                bytes += std::to_string(r.max_count) + ' ' +
-                         std::to_string(r.rounds) + ' ' +
-                         std::to_string(r.alerts) + ' ' +
-                         std::to_string(r.total_acts) + ' ' +
-                         std::to_string(r.pool_after_setup) + '\n';
-            }
-    EXPECT_EQ(qprac::sim::fnv1a64(bytes), 0xae2ffe07ad524e25ULL);
+    // The grid of the §IV-B comparison, for Ideal and both PSQ designs
+    // it is made against: how QPRAC finds, inserts and services rows,
+    // and how the harness paces REF slots, must never move a Wave
+    // result. Each hash covers every WaveAttackResult field of one
+    // design's grid. Ideal's was recorded with the lazy-heap tracker the
+    // count buckets replaced, the PSQ designs' before the one-pass
+    // insert and the REF countdown. With PRAC-1 the PSQ matches Ideal
+    // point for point.
+    struct Design
+    {
+        const char* name;
+        bool ideal;
+        bool proactive;
+        std::uint64_t hash;
+    };
+    for (const Design& d : {Design{"qprac-ideal", true, false,
+                                   0xae2ffe07ad524e25ULL},
+                            Design{"qprac", false, false,
+                                   0xae2ffe07ad524e25ULL},
+                            Design{"qprac+proactive", false, true,
+                                   0xab897c588962e8d9ULL}}) {
+        std::string bytes;
+        for (int psq = 1; psq <= 8; ++psq)
+            for (int nbo : {16, 32, 64})
+                for (long r1 : {10L, 100L, 1000L}) {
+                    WaveAttackConfig c = cfg(nbo, 1, r1, d.ideal);
+                    c.psq_size = psq;
+                    c.proactive = d.proactive;
+                    auto r = simulateWaveAttack(c);
+                    bytes += std::to_string(r.max_count) + ' ' +
+                             std::to_string(r.rounds) + ' ' +
+                             std::to_string(r.alerts) + ' ' +
+                             std::to_string(r.total_acts) + ' ' +
+                             std::to_string(r.pool_after_setup) + '\n';
+                }
+        EXPECT_EQ(qprac::sim::fnv1a64(bytes), d.hash) << d.name;
+    }
 }
