@@ -9,7 +9,7 @@
  *    ACTs, each costing ABO + RFM time on the covered banks);
  *  - the measured loss of a concrete round-robin attacker in the
  *    cycle-level simulator (QPRAC's opportunistic draining blunts it
- *    well below the analytical bound — see EXPERIMENTS.md).
+ *    well below the analytical bound).
  */
 #include "bench_common.h"
 
@@ -57,10 +57,14 @@ main()
     Table m({"NBO", "RFMab", "RFMab+Pro", "RFMsb+Pro", "RFMpb+Pro"});
     for (int nbo : {16, 32, 64, 128}) {
         auto run = [&](RfmScope scope, bool pro) {
+            const sim::DesignSpec d = sim::DesignSpec::qprac(
+                pro ? core::QpracConfig::proactiveEvery(nbo)
+                    : core::QpracConfig::base(nbo),
+                scope);
             PerfAttackConfig c;
-            c.nbo = nbo;
-            c.scope = scope;
-            c.proactive = pro;
+            c.timing = d.timing;
+            c.ctrl.abo = d.abo;
+            c.mitigation = d.factory;
             c.sim_cycles = 600'000;
             double loss = bandwidthLossPct(c);
             csv.addRow({std::to_string(nbo),

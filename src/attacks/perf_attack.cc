@@ -1,12 +1,9 @@
 #include "attacks/perf_attack.h"
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
-#include "core/qprac.h"
-#include "ctrl/memory_controller.h"
-#include "dram/dram_device.h"
+#include "dram/address.h"
 
 namespace qprac::attacks {
 
@@ -24,12 +21,12 @@ class AttackTrafficGen
                          0);
     }
 
-    /** Keep the controller's read queue full. */
-    void pump(ctrl::MemoryController& mc, Cycle now)
+    /** Keep channel 0's read queue full. */
+    void pump(ctrl::MemorySystem& mem, Cycle now)
     {
         const auto& org = mapper_.organization();
         const int banks = org.banksPerChannel();
-        while (!mc.readQueueFull()) {
+        while (!mem.readQueueFull(0)) {
             int flat = bank_cursor_;
             bank_cursor_ = (bank_cursor_ + 1) % banks;
             int rank = flat / org.banksPerRank();
@@ -41,7 +38,7 @@ class AttackTrafficGen
             int row = 8 + cursor * 8;
             cursor = (cursor + 1) % carousel_;
             Addr addr = mapper_.makeAddr(0, rank, bg, bank, row, 0);
-            if (!mc.enqueueRead(addr, mapper_.decode(addr), 0, {}, now))
+            if (!mem.enqueueRead(addr, mapper_.decode(addr), 0, {}, now))
                 break;
         }
     }
@@ -58,37 +55,22 @@ class AttackTrafficGen
 PerfAttackResult
 runPerfAttack(const PerfAttackConfig& cfg)
 {
-    dram::Organization org; // paper configuration (64 banks)
-    dram::TimingParams timing = dram::TimingParams::ddr5Prac();
+    dram::Organization org; // paper configuration (one channel, 64 banks)
     dram::AddressMapper mapper(org);
-
-    dram::DramDevice dev(org, timing);
-    std::unique_ptr<dram::RowhammerMitigation> mit;
-    if (cfg.mitigation_enabled) {
-        core::QpracConfig qc =
-            cfg.proactive ? core::QpracConfig::proactiveEvery(cfg.nbo,
-                                                              cfg.nmit)
-                          : core::QpracConfig::base(cfg.nbo, cfg.nmit);
-        mit = std::make_unique<core::Qprac>(qc, &dev.pracCounters());
-    }
-    dev.setMitigation(mit.get());
-
-    ctrl::ControllerConfig ctrl_cfg;
-    ctrl_cfg.abo.enabled = cfg.mitigation_enabled;
-    ctrl_cfg.abo.nmit = cfg.nmit;
-    ctrl_cfg.abo.scope = cfg.scope;
-    ctrl::MemoryController mc(dev, ctrl_cfg);
+    ctrl::MemorySystem mem(org, cfg.timing, cfg.ctrl, cfg.mitigation);
+    mem.setCycleSkipping(cfg.skip);
 
     AttackTrafficGen gen(mapper, cfg.carousel_rows);
     for (Cycle c = 0; c < cfg.sim_cycles; ++c) {
-        gen.pump(mc, c);
-        mc.tick(c);
+        gen.pump(mem, c);
+        mem.tick(c);
     }
 
     PerfAttackResult r;
-    r.acts = dev.stats().acts;
-    r.alerts = mc.abo().alerts();
+    r.acts = mem.deviceStats().acts;
+    r.alerts = mem.alerts();
     r.cycles = cfg.sim_cycles;
+    r.skip = mem.skipStats();
     return r;
 }
 
@@ -150,7 +132,9 @@ double
 bandwidthLossPct(const PerfAttackConfig& cfg)
 {
     PerfAttackConfig base = cfg;
-    base.mitigation_enabled = false;
+    base.mitigation = nullptr;
+    base.ctrl.abo.enabled = false;
+    base.ctrl.rfm_policy = mitigations::RfmPolicy::none();
     PerfAttackResult protected_run = runPerfAttack(cfg);
     PerfAttackResult baseline = runPerfAttack(base);
     if (baseline.acts == 0)

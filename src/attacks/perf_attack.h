@@ -12,20 +12,27 @@
 #define QPRAC_ATTACKS_PERF_ATTACK_H
 
 #include "common/types.h"
+#include "ctrl/memory_system.h"
 #include "dram/mitigation_iface.h"
+#include "dram/timing.h"
 
 namespace qprac::attacks {
 
-/** Attack/bench parameters. */
+/**
+ * Attack/bench parameters. The design is the same triple the recovery
+ * attacks take (timing, controller, mitigation factory); the driver
+ * runs it on a one-channel ctrl::MemorySystem.
+ */
 struct PerfAttackConfig
 {
-    int nbo = 32;
-    int nmit = 1;
-    dram::RfmScope scope = dram::RfmScope::AllBank;
-    bool proactive = false;      ///< QPRAC+Proactive variant
+    dram::TimingParams timing = dram::TimingParams::ddr5Prac();
+    ctrl::ControllerConfig ctrl; ///< abo and rfm_policy of the design
+    ctrl::MitigationFactory mitigation; ///< null = no in-DRAM mitigation
     int carousel_rows = 16;      ///< stocked rows per attacked bank
     Cycle sim_cycles = 1'200'000; ///< ~375 us of DRAM time
-    bool mitigation_enabled = true; ///< false = unprotected baseline
+    /** Next-event cycle skipping on the serial tick path (the scenario
+     * `skip` key; false = the dense reference). Result-neutral. */
+    bool skip = true;
 };
 
 /** Measured activation throughput. */
@@ -34,6 +41,7 @@ struct PerfAttackResult
     std::uint64_t acts = 0;
     std::uint64_t alerts = 0;
     Cycle cycles = 0;
+    ctrl::SkipStats skip; ///< engine counters, not part of the result
 
     double actsPerKiloCycle() const
     {
@@ -48,9 +56,10 @@ PerfAttackResult runPerfAttack(const PerfAttackConfig& cfg);
 
 /**
  * Bandwidth loss (%) of @p cfg versus the unprotected baseline, as
- * measured by the cycle-level simulation. NOTE: this measures a
- * concrete round-robin attacker; QPRAC's opportunistic draining blunts
- * it well below the analytical worst case (see EXPERIMENTS.md).
+ * measured by the cycle-level simulation. The baseline keeps @p cfg's
+ * timing and drops its mitigation, ABO and RFM policy. NOTE: this
+ * measures a concrete round-robin attacker; QPRAC's opportunistic
+ * draining blunts it well below the analytical worst case.
  */
 double bandwidthLossPct(const PerfAttackConfig& cfg);
 

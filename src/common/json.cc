@@ -156,187 +156,6 @@ JsonWriter::raw(const std::string& json_fragment)
     return *this;
 }
 
-// --- Syntax checker ---------------------------------------------------
-
-namespace {
-
-struct JsonLint
-{
-    const std::string& s;
-    std::size_t pos = 0;
-
-    void skipWs()
-    {
-        while (pos < s.size() &&
-               std::isspace(static_cast<unsigned char>(s[pos])))
-            ++pos;
-    }
-
-    bool literal(const char* lit)
-    {
-        std::size_t n = 0;
-        while (lit[n])
-            ++n;
-        if (s.compare(pos, n, lit) != 0)
-            return false;
-        pos += n;
-        return true;
-    }
-
-    bool string()
-    {
-        if (pos >= s.size() || s[pos] != '"')
-            return false;
-        ++pos;
-        while (pos < s.size()) {
-            char c = s[pos];
-            if (c == '"') {
-                ++pos;
-                return true;
-            }
-            if (c == '\\') {
-                ++pos;
-                if (pos >= s.size())
-                    return false;
-                char e = s[pos];
-                if (e == 'u') {
-                    for (int i = 0; i < 4; ++i) {
-                        ++pos;
-                        if (pos >= s.size() ||
-                            !std::isxdigit(
-                                static_cast<unsigned char>(s[pos])))
-                            return false;
-                    }
-                } else if (!(e == '"' || e == '\\' || e == '/' ||
-                             e == 'b' || e == 'f' || e == 'n' ||
-                             e == 'r' || e == 't')) {
-                    return false;
-                }
-            } else if (static_cast<unsigned char>(c) < 0x20) {
-                return false;
-            }
-            ++pos;
-        }
-        return false;
-    }
-
-    bool digits()
-    {
-        std::size_t start = pos;
-        while (pos < s.size() &&
-               std::isdigit(static_cast<unsigned char>(s[pos])))
-            ++pos;
-        return pos > start;
-    }
-
-    bool number()
-    {
-        if (pos < s.size() && s[pos] == '-')
-            ++pos;
-        if (!digits())
-            return false;
-        if (pos < s.size() && s[pos] == '.') {
-            ++pos;
-            if (!digits())
-                return false;
-        }
-        if (pos < s.size() && (s[pos] == 'e' || s[pos] == 'E')) {
-            ++pos;
-            if (pos < s.size() && (s[pos] == '+' || s[pos] == '-'))
-                ++pos;
-            if (!digits())
-                return false;
-        }
-        return true;
-    }
-
-    bool value(int depth)
-    {
-        if (depth > 256)
-            return false;
-        skipWs();
-        if (pos >= s.size())
-            return false;
-        char c = s[pos];
-        if (c == '{') {
-            ++pos;
-            skipWs();
-            if (pos < s.size() && s[pos] == '}') {
-                ++pos;
-                return true;
-            }
-            while (true) {
-                skipWs();
-                if (!string())
-                    return false;
-                skipWs();
-                if (pos >= s.size() || s[pos] != ':')
-                    return false;
-                ++pos;
-                if (!value(depth + 1))
-                    return false;
-                skipWs();
-                if (pos >= s.size())
-                    return false;
-                if (s[pos] == ',') {
-                    ++pos;
-                    continue;
-                }
-                if (s[pos] == '}') {
-                    ++pos;
-                    return true;
-                }
-                return false;
-            }
-        }
-        if (c == '[') {
-            ++pos;
-            skipWs();
-            if (pos < s.size() && s[pos] == ']') {
-                ++pos;
-                return true;
-            }
-            while (true) {
-                if (!value(depth + 1))
-                    return false;
-                skipWs();
-                if (pos >= s.size())
-                    return false;
-                if (s[pos] == ',') {
-                    ++pos;
-                    continue;
-                }
-                if (s[pos] == ']') {
-                    ++pos;
-                    return true;
-                }
-                return false;
-            }
-        }
-        if (c == '"')
-            return string();
-        if (c == 't')
-            return literal("true");
-        if (c == 'f')
-            return literal("false");
-        if (c == 'n')
-            return literal("null");
-        return number();
-    }
-};
-
-} // namespace
-
-bool
-jsonValid(const std::string& text)
-{
-    JsonLint lint{text};
-    if (!lint.value(0))
-        return false;
-    lint.skipWs();
-    return lint.pos == text.size();
-}
-
 // --- DOM parser -------------------------------------------------------
 
 const JsonValue*
@@ -370,11 +189,7 @@ JsonValue::asU64() const
 
 namespace {
 
-/**
- * Recursive-descent parser over the same grammar JsonLint accepts.
- * Kept separate from the linter so the validation-only path stays
- * allocation-free.
- */
+/** Recursive-descent parser for one JSON value. */
 struct JsonParser
 {
     const std::string& s;
@@ -614,6 +429,13 @@ jsonParse(const std::string& text, JsonValue* out, std::string* err)
     }
     *out = std::move(v);
     return true;
+}
+
+bool
+jsonValid(const std::string& text)
+{
+    JsonValue v;
+    return jsonParse(text, &v, nullptr);
 }
 
 } // namespace qprac

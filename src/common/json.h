@@ -1,6 +1,6 @@
 /**
  * @file
- * Minimal JSON emission (and a syntax checker for tests/CI smoke).
+ * Minimal JSON emission, and a small parser for reading results back.
  *
  * The structured-results layer serializes ScenarioResult/SimResult with
  * this writer so every tool emits one machine-readable format; no
@@ -59,13 +59,6 @@ class JsonWriter
 };
 
 /**
- * True when @p text is one syntactically valid JSON value (object,
- * array, string, number, true/false/null) with nothing trailing.
- * Structural validation only — no data model is built.
- */
-bool jsonValid(const std::string& text);
-
-/**
  * Minimal JSON document value, parsed by jsonParse(). Objects preserve
  * key order (members is a vector, not a map), and numbers keep their
  * raw source text so integer fields round-trip exactly even past
@@ -109,12 +102,17 @@ struct JsonValue
 
 /**
  * Parse one complete JSON value (with nothing trailing) into *out.
- * False with a positioned *err message on malformed input. Accepts
- * exactly the grammar jsonValid() accepts; string escapes are decoded
- * (\uXXXX escapes outside ASCII are rejected — the emitter never
- * produces them).
+ * False with a positioned *err message (when @p err is non-null) on
+ * malformed input. String escapes are decoded (\uXXXX escapes outside
+ * ASCII are rejected — the emitter never produces them).
  */
 bool jsonParse(const std::string& text, JsonValue* out, std::string* err);
+
+/**
+ * True when @p text is one JSON value (object, array, string, number,
+ * true/false/null) with nothing trailing: jsonParse() succeeds on it.
+ */
+bool jsonValid(const std::string& text);
 
 } // namespace qprac
 

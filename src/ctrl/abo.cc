@@ -7,9 +7,7 @@ namespace qprac::ctrl {
 
 AboEngine::AboEngine(const AboConfig& config,
                      const dram::TimingParams& timing)
-    : cfg_(config),
-      t_(timing),
-      policy_(makeRecoveryPolicy(config.recovery))
+    : cfg_(config), t_(timing)
 {
 }
 
@@ -24,13 +22,13 @@ AboEngine::setEventSink(obs::EventSink* sink)
 void
 AboEngine::tick(dram::DramDevice& dev, Cycle now)
 {
-    // Isolated policies: alerts are handled per bank; the channel-wide
+    // Isolated kinds: alerts are handled per bank; the channel-wide
     // machine below still serves the policy RFM pump (Mithril/PrIDE).
     bank_rfm_this_tick_ = false;
-    if (!policy_->channelScope()) {
+    if (!channelScope()) {
         if (!bank_) {
             bank_ = std::make_unique<BankRecoveryEngine>(
-                *policy_, t_, cfg_.nmit, cfg_.scope, dev.numBanks());
+                cfg_.recovery, t_, cfg_.nmit, cfg_.scope, dev.numBanks());
             bank_->setEventSink(sink_);
         }
         if (cfg_.enabled)
@@ -39,8 +37,7 @@ AboEngine::tick(dram::DramDevice& dev, Cycle now)
 
     switch (state_) {
       case State::Idle:
-        if (policy_->channelScope() && cfg_.enabled &&
-            dev.alertAsserted()) {
+        if (channelScope() && cfg_.enabled && dev.alertAsserted()) {
             ++alerts_;
             alert_bank_ =
                 dev.mitigation() ? dev.mitigation()->alertingBank() : -1;
@@ -98,7 +95,7 @@ AboEngine::tick(dram::DramDevice& dev, Cycle now)
                     return;
             dram::RfmScope scope =
                 policy_mode_ ? policy_scope_
-                             : policy_->rfmScope(cfg_.scope);
+                             : recoveryRfmScope(cfg_.recovery, cfg_.scope);
             next_rfm_at_ = dev.issueRfm(scope, alert_bank_, now);
             --rfms_left_;
             if (policy_mode_)
@@ -125,10 +122,10 @@ AboEngine::nextEventAt(const dram::DramDevice& dev, Cycle now) const
 {
     Cycle at = kNeverCycle;
 
-    // Per-bank machines (isolated policies). Before the first tick the
+    // Per-bank machines (isolated kinds). Before the first tick the
     // engine does not exist yet; a requested alert then moves state on
     // the next tick.
-    if (!policy_->channelScope() && cfg_.enabled) {
+    if (!channelScope() && cfg_.enabled) {
         if (bank_)
             at = std::min(at, bank_->nextEventAt(dev, now));
         else if (dev.anyBankAlertRequested())
@@ -139,8 +136,7 @@ AboEngine::nextEventAt(const dram::DramDevice& dev, Cycle now) const
     switch (state_) {
       case State::Idle:
         if (policy_pending_ ||
-            (policy_->channelScope() && cfg_.enabled &&
-             dev.alertAsserted()))
+            (channelScope() && cfg_.enabled && dev.alertAsserted()))
             at = std::min(at, now + 1);
         // Otherwise the alert can only rise on an ACT — a wake itself.
         break;

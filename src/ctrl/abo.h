@@ -7,9 +7,9 @@
  * within the tABO_window (180 ns); it then quiesces, issues Nmit
  * back-to-back RFM commands, and notifies the device so ABODelay gating
  * restarts. *How much* of the channel the recovery quiesces is decided
- * by the configured RecoveryPolicy (ctrl/recovery): the default
+ * by the configured RecoveryKind (ctrl/recovery): the default
  * ChannelStall runs the classic channel-wide state machine here, while
- * the isolated policies delegate alert handling to a per-bank
+ * the isolated kinds delegate alert handling to a per-bank
  * BankRecoveryEngine so only covered banks stop scheduling.
  */
 #ifndef QPRAC_CTRL_ABO_H
@@ -85,8 +85,8 @@ class AboEngine
         return bank_rfm_this_tick_;
     }
 
-    /** True when the policy gates the whole channel (ChannelStall). */
-    bool channelScope() const { return policy_->channelScope(); }
+    /** True when recovery gates the whole channel (ChannelStall). */
+    bool channelScope() const { return ctrl::channelScope(cfg_.recovery); }
 
     /** May the controller issue an ACT this cycle? (channel gate) */
     bool allowAct() const
@@ -180,8 +180,7 @@ class AboEngine
 
     AboConfig cfg_;
     const dram::TimingParams& t_;
-    std::unique_ptr<RecoveryPolicy> policy_;
-    /** Per-bank machines (isolated policies; sized on first tick). */
+    /** Per-bank machines (isolated kinds; sized on first tick). */
     std::unique_ptr<BankRecoveryEngine> bank_;
     const RefreshScheduler* refresh_ = nullptr;
     obs::EventSink* sink_ = nullptr;

@@ -41,6 +41,9 @@ MemoryController::MemoryController(dram::DramDevice& dev,
                                    const ControllerConfig& config)
     : dev_(dev),
       cfg_(config),
+      completion_sink_([](Cycle at, std::function<void(Cycle)> fn) {
+          fn(at);
+      }),
       reads_(config.read_q_capacity),
       writes_(config.write_q_capacity),
       abo_(config.abo, dev.timing()),
@@ -110,17 +113,6 @@ MemoryController::enqueueWrite(Addr addr, const dram::DecodedAddr& dec,
     writes_.push(std::move(r));
     ++stats_.writes_enqueued;
     return true;
-}
-
-void
-MemoryController::processCompletions(Cycle now)
-{
-    while (!completions_.empty() && completions_.top().at <= now) {
-        Completion c = completions_.top();
-        completions_.pop();
-        if (c.fn)
-            c.fn(c.at);
-    }
 }
 
 bool
@@ -218,12 +210,8 @@ MemoryController::scheduleQueue(RequestQueue& q, bool is_write,
             stats_.read_latency_sum += done - r.arrive;
             if (metrics_)
                 metrics_->read_latency.record(done - r.arrive);
-            if (r.on_complete) {
-                if (completion_sink_)
-                    completion_sink_(done, std::move(r.on_complete));
-                else
-                    completions_.push({done, std::move(r.on_complete)});
-            }
+            if (r.on_complete)
+                completion_sink_(done, std::move(r.on_complete));
         }
         return true;
       }
@@ -327,7 +315,6 @@ MemoryController::maybeTriggerPolicyRfm()
 void
 MemoryController::tick(Cycle now)
 {
-    processCompletions(now);
     abo_.tick(dev_, now);
     refresh_.tick(dev_, now);
     maybeTriggerPolicyRfm();
@@ -406,12 +393,6 @@ MemoryController::nextEventAt(Cycle now, WakeSource* why) const
             src = s;
         }
     };
-
-    // Locally-held completions (sink-less mode only: the epoch engines
-    // install a sink that routes completions into the shard outbox, so
-    // this queue stays empty under the skipping engines).
-    if (!completions_.empty())
-        concern(completions_.top().at, WakeSource::CommandReady);
 
     // Recovery machines (channel-wide ABO + per-bank engines).
     concern(abo_.nextEventAt(dev_, now), WakeSource::Recovery);
@@ -525,7 +506,7 @@ MemoryController::nextEventAt(Cycle now, WakeSource* why) const
 bool
 MemoryController::drained() const
 {
-    return reads_.empty() && writes_.empty() && completions_.empty();
+    return reads_.empty() && writes_.empty();
 }
 
 CtrlStats

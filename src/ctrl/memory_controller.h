@@ -7,8 +7,9 @@
 #ifndef QPRAC_CTRL_MEMORY_CONTROLLER_H
 #define QPRAC_CTRL_MEMORY_CONTROLLER_H
 
-#include <queue>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "common/stats.h"
 #include "ctrl/abo.h"
@@ -82,12 +83,13 @@ class MemoryController
   public:
     /**
      * Receives every scheduled read completion at CAS-issue time: the
-     * data-return cycle plus the requester's callback. The epoch engine
-     * (ctrl/memory_system.h) installs one per shard to route
-     * completions into that shard's outbox mailbox; without a sink the
-     * controller fires callbacks itself at the completion cycle.
+     * data-return cycle plus the requester's callback. The default
+     * sink runs the callback at once, passing the data-return cycle.
+     * The epoch engine (ctrl/memory_system.h) installs one per shard
+     * that routes completions into that shard's outbox mailbox, which
+     * fires them at the data-return cycle.
      *
-     * Scheduling happens tCL + tBL cycles before the completion fires —
+     * Scheduling happens tCL + tBL cycles before the data returns —
      * the lookahead the engine's epoch length is derived from.
      */
     using CompletionSink =
@@ -124,10 +126,10 @@ class MemoryController
     /**
      * Event horizon for the cycle-skipping engine: the earliest future
      * cycle (> @p now) at which this controller could change observable
-     * state — issue a command, fire a completion, or move a state
-     * machine — assuming *no external input* (no enqueue) arrives in
-     * between. Call after tick(now); the MemorySystem shard loop jumps
-     * straight to the returned cycle.
+     * state — issue a command or move a state machine — assuming *no
+     * external input* (no enqueue) arrives in between. Call after
+     * tick(now); the MemorySystem shard loop jumps straight to the
+     * returned cycle.
      *
      * Contract: the bound is conservative (never over-reports). Waking
      * earlier than the true event is always safe — the shard just pays
@@ -143,7 +145,7 @@ class MemoryController
      */
     Cycle nextEventAt(Cycle now, WakeSource* why = nullptr) const;
 
-    /** True when no requests are queued or in flight. */
+    /** True when no requests are queued. */
     bool drained() const;
 
     bool readQueueFull() const { return reads_.full(); }
@@ -156,14 +158,6 @@ class MemoryController
     dram::DramDevice& device() { return dev_; }
 
   private:
-    struct Completion
-    {
-        Cycle at;
-        std::function<void(Cycle)> fn;
-        bool operator>(const Completion& o) const { return at > o.at; }
-    };
-
-    void processCompletions(Cycle now);
     bool issueQuiescePre(Cycle now);
     bool scheduleQueue(RequestQueue& q, bool is_write,
                        const SchedConstraints& cons, Cycle now);
@@ -192,9 +186,6 @@ class MemoryController
     bool drain_mode_ = false;
     AboEngine abo_;
     RefreshScheduler refresh_;
-    std::priority_queue<Completion, std::vector<Completion>,
-                        std::greater<Completion>>
-        completions_;
     std::uint64_t acts_since_policy_rfm_ = 0;
     std::vector<std::uint32_t> bank_policy_acts_; ///< per-bank RAA counters
     std::vector<char> bank_rfm_pending_;

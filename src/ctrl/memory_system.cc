@@ -344,8 +344,7 @@ MemorySystem::runShard(int channel, Cycle begin, Cycle end,
 }
 
 void
-MemorySystem::runEpoch(Cycle begin, Cycle end, WorkerPool* pool,
-                       Cycle emit_guard)
+MemorySystem::runEpoch(Cycle begin, Cycle end)
 {
     QP_ASSERT(end > begin, "empty epoch");
     QP_ASSERT(end - begin <= epoch_,
@@ -354,15 +353,8 @@ MemorySystem::runEpoch(Cycle begin, Cycle end, WorkerPool* pool,
     // here (producer thread, shards quiescent) makes the staged submit
     // view identical to the live head the v1 engine always saw.
     syncSubmitMailboxes();
-    const Cycle guard = emit_guard ? emit_guard : end;
-    auto task = [&](std::size_t i) {
-        runShard(static_cast<int>(i), begin, end, guard);
-    };
-    if (pool && pool->degree() > 1 && shards_.size() > 1)
-        pool->run(shards_.size(), task);
-    else
-        for (std::size_t i = 0; i < shards_.size(); ++i)
-            task(i);
+    for (int c = 0; c < channels(); ++c)
+        runShard(c, begin, end, end);
 }
 
 void

@@ -34,10 +34,11 @@
  *    shard order (deliverCompletions), matching the serial per-cycle
  *    channel-0..N-1 iteration.
  *
- * The same machinery executes single-threaded (a null/degree-1 pool);
- * thread count only changes which OS thread runs a shard's loop, never
- * the sequence of operations — so threads=N runs are bit-identical to
- * threads=1, and both reproduce the pre-engine serial goldens.
+ * The same machinery executes single-threaded (runEpoch) or on a
+ * worker pool (runShard per shard); thread count only changes which OS
+ * thread runs a shard's loop, never the sequence of operations — so
+ * threads=N runs are bit-identical to threads=1, and both reproduce
+ * the pre-engine serial goldens.
  */
 #ifndef QPRAC_CTRL_MEMORY_SYSTEM_H
 #define QPRAC_CTRL_MEMORY_SYSTEM_H
@@ -46,7 +47,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/parallel.h"
 #include "common/spsc.h"
 #include "common/stats.h"
 #include "ctrl/memory_controller.h"
@@ -178,25 +178,23 @@ class MemorySystem
 
     /**
      * Run every shard's tick loop over [begin, end) — at most
-     * epochLength() cycles — ingesting mailboxed submits stamped
-     * before each cycle and emitting completions to the outboxes.
-     * With a pool of degree > 1 the shards run on the worker pool;
-     * results are identical either way.
-     *
-     * @p emit_guard is the earliest cycle a completion emitted inside
-     * this window may fire at (0 = @p end, the v1 alternating-phase
-     * bound). The pipelined engine runs its main phase one window
-     * ahead of the shards and passes end + window so the overlap is
-     * assert-checked, not assumed.
+     * epochLength() cycles — in channel order on the calling thread,
+     * ingesting mailboxed submits stamped before each cycle and
+     * emitting completions to the outboxes.
      */
-    void runEpoch(Cycle begin, Cycle end, WorkerPool* pool,
-                  Cycle emit_guard = 0);
+    void runEpoch(Cycle begin, Cycle end);
 
     /**
-     * Run one shard's tick loop over [begin, end) — the task body of
+     * Run one shard's tick loop over [begin, end) — the loop body of
      * runEpoch, exposed so the engine can dispatch shard windows to
-     * its pool while its own main phase runs (sim/system.cc).
-     * Safe to call from any thread, one call per shard at a time.
+     * its pool (sim/system.cc). Safe to call from any thread, one call
+     * per shard at a time.
+     *
+     * @p emit_guard is the earliest cycle a completion emitted inside
+     * this window may fire at. The alternating engine passes @p end;
+     * the pipelined engine runs its main phase one window ahead of the
+     * shards and passes end + window, so the overlap is assert-checked,
+     * not assumed.
      */
     void runShard(int channel, Cycle begin, Cycle end, Cycle emit_guard);
 

@@ -7,15 +7,15 @@
 
 namespace qprac::ctrl {
 
-BankRecoveryEngine::BankRecoveryEngine(const RecoveryPolicy& policy,
+BankRecoveryEngine::BankRecoveryEngine(RecoveryKind kind,
                                        const dram::TimingParams& timing,
                                        int nmit,
                                        dram::RfmScope configured_scope,
                                        int num_banks)
-    : policy_(policy), t_(timing), nmit_(nmit), scope_(configured_scope)
+    : kind_(kind), t_(timing), nmit_(nmit), scope_(configured_scope)
 {
-    QP_ASSERT(!policy.channelScope(),
-              "channel-scope policies run the AboEngine state machine");
+    QP_ASSERT(!channelScope(kind),
+              "channel-scope recovery runs the AboEngine state machine");
     banks_.resize(static_cast<std::size_t>(num_banks));
     act_blocked_.assign(static_cast<std::size_t>(num_banks), 0);
     cas_blocked_.assign(static_cast<std::size_t>(num_banks), 0);
@@ -161,7 +161,7 @@ BankRecoveryEngine::tick(dram::DramDevice& dev,
                     m.covers.assign(static_cast<std::size_t>(n), 0);
                     for (int i = 0; i < n; ++i)
                         m.covers[static_cast<std::size_t>(i)] =
-                            policy_.covers(dev, b, i) ? 1 : 0;
+                            covers(kind_, dev, b, i) ? 1 : 0;
                 }
                 ++active_;
                 peak_concurrent_ = std::max(peak_concurrent_, active_);
@@ -198,7 +198,7 @@ BankRecoveryEngine::tick(dram::DramDevice& dev,
                     !coveredIdle(dev, m, now))
                     break;
                 m.next_rfm_at =
-                    dev.issueRfm(policy_.rfmScope(scope_), b, now);
+                    dev.issueRfm(recoveryRfmScope(kind_, scope_), b, now);
                 --m.rfms_left;
                 ++rfms_issued_;
                 rfm_issued = true;

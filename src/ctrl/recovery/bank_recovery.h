@@ -8,13 +8,13 @@
  * Pumping machine per *alerting bank*, so an alert storm puts several
  * banks in recovery concurrently while uncovered banks keep
  * scheduling. Each machine mirrors the channel-stall protocol exactly,
- * scoped to the banks its policy covers:
+ * scoped to the banks its recovery kind covers:
  *
  *  - Window: up to abo_act_max further ACTs to covered banks within
  *    tABO_window;
  *  - Quiesce: covered banks are precharged (the controller issues the
  *    PREs, keyed on quiesceSince());
- *  - Pumping: Nmit back-to-back RFMs with the policy's scope, at most
+ *  - Pumping: Nmit back-to-back RFMs with the kind's RFM scope, at most
  *    one RFM per cycle across all machines (one command bus), REFs
  *    taking priority on their rank;
  *  - done: the device's *per-bank* ABODelay gate restarts
@@ -40,9 +40,9 @@ namespace qprac::ctrl {
 class BankRecoveryEngine
 {
   public:
-    BankRecoveryEngine(const RecoveryPolicy& policy,
-                       const dram::TimingParams& timing, int nmit,
-                       dram::RfmScope configured_scope, int num_banks);
+    BankRecoveryEngine(RecoveryKind kind, const dram::TimingParams& timing,
+                       int nmit, dram::RfmScope configured_scope,
+                       int num_banks);
 
     /** Attach an event sink (recovery category; may be null). */
     void setEventSink(obs::EventSink* sink) { sink_ = sink; }
@@ -122,8 +122,8 @@ class BankRecoveryEngine
         int window_acts = 0;
         int rfms_left = 0;
         Cycle next_rfm_at = 0;
-        /** Banks this machine's recovery covers (policy, cached at
-         * alert time; coverage is time-invariant per alert bank). */
+        /** Banks this machine's recovery covers (cached at alert
+         * time; coverage is time-invariant per alert bank). */
         std::vector<char> covers;
     };
 
@@ -138,7 +138,7 @@ class BankRecoveryEngine
     /** Recompute the per-bank gate vectors from the machine states. */
     void rebuildGates();
 
-    const RecoveryPolicy& policy_;
+    RecoveryKind kind_;
     const dram::TimingParams& t_;
     int nmit_;
     dram::RfmScope scope_;

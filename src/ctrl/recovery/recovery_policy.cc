@@ -1,75 +1,8 @@
 #include "ctrl/recovery/recovery_policy.h"
 
-#include "common/log.h"
 #include "common/parse.h"
 
 namespace qprac::ctrl {
-
-namespace {
-
-class ChannelStallRecovery final : public RecoveryPolicy
-{
-  public:
-    RecoveryKind kind() const override
-    {
-        return RecoveryKind::ChannelStall;
-    }
-    bool channelScope() const override { return true; }
-    bool covers(const dram::DramDevice&, int, int) const override
-    {
-        return true; // the whole channel stalls
-    }
-    dram::RfmScope rfmScope(dram::RfmScope configured) const override
-    {
-        return configured; // the AboConfig scope (AllBank by default)
-    }
-};
-
-class BankIsolatedRecovery final : public RecoveryPolicy
-{
-  public:
-    RecoveryKind kind() const override
-    {
-        return RecoveryKind::BankIsolated;
-    }
-    bool channelScope() const override { return false; }
-    bool covers(const dram::DramDevice&, int alert_bank,
-                int bank) const override
-    {
-        return bank == alert_bank;
-    }
-    dram::RfmScope rfmScope(dram::RfmScope) const override
-    {
-        return dram::RfmScope::PerBank;
-    }
-};
-
-class GroupIsolatedRecovery final : public RecoveryPolicy
-{
-  public:
-    RecoveryKind kind() const override
-    {
-        return RecoveryKind::GroupIsolated;
-    }
-    bool channelScope() const override { return false; }
-    bool covers(const dram::DramDevice& dev, int alert_bank,
-                int bank) const override
-    {
-        // The whole bank group of the alerting bank's rank: the group
-        // shares ACT/CAS timing, so quiescing it is the conservative
-        // command-bus middle point between bank and channel scope.
-        return dev.rankOf(bank) == dev.rankOf(alert_bank) &&
-               dev.bankgroupOf(bank) == dev.bankgroupOf(alert_bank);
-    }
-    dram::RfmScope rfmScope(dram::RfmScope) const override
-    {
-        // Blocking is group-wide; the mitigation opportunity itself is
-        // per-bank (only the alerting bank's tracker drains).
-        return dram::RfmScope::PerBank;
-    }
-};
-
-} // namespace
 
 const char*
 recoveryKindName(RecoveryKind kind)
@@ -109,18 +42,25 @@ recoveryKinds()
     return kinds;
 }
 
-std::unique_ptr<RecoveryPolicy>
-makeRecoveryPolicy(RecoveryKind kind)
+bool
+covers(RecoveryKind kind, const dram::DramDevice& dev, int alert_bank,
+       int bank)
 {
     switch (kind) {
       case RecoveryKind::ChannelStall:
-        return std::make_unique<ChannelStallRecovery>();
+        return true; // the whole channel stalls
       case RecoveryKind::BankIsolated:
-        return std::make_unique<BankIsolatedRecovery>();
+        return bank == alert_bank;
       case RecoveryKind::GroupIsolated:
-        return std::make_unique<GroupIsolatedRecovery>();
+        // The whole bank group of the alerting bank's rank: the group
+        // shares ACT/CAS timing, so quiescing it is the conservative
+        // command-bus middle point between bank and channel scope.
+        // (Its RFMs stay per-bank: only the alerting bank's tracker
+        // drains.)
+        return dev.rankOf(bank) == dev.rankOf(alert_bank) &&
+               dev.bankgroupOf(bank) == dev.bankgroupOf(alert_bank);
     }
-    fatal("unknown recovery kind");
+    return true;
 }
 
 } // namespace qprac::ctrl

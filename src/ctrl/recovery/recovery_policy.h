@@ -12,15 +12,15 @@
  * cross-bank/cross-channel timing channel a co-located victim can
  * observe — the attack:rfm-probe scenario measures exactly that.
  *
- * A RecoveryPolicy only decides *scope*: which banks an in-flight
+ * A recovery kind only decides *scope*: which banks an in-flight
  * recovery for a given alerting bank blocks, and which RFM scope the
- * recovery burst uses. The state machines live in AboEngine
- * (channel-stall) and BankRecoveryEngine (the isolated policies).
+ * recovery burst uses (the free functions below). The state machines
+ * live in AboEngine (channel-stall) and BankRecoveryEngine (the
+ * isolated kinds).
  */
 #ifndef QPRAC_CTRL_RECOVERY_RECOVERY_POLICY_H
 #define QPRAC_CTRL_RECOVERY_RECOVERY_POLICY_H
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -47,41 +47,34 @@ bool parseRecoveryKind(const std::string& text, RecoveryKind* out);
 const std::vector<RecoveryKind>& recoveryKinds();
 
 /**
- * Scope decisions for one recovery kind. Stateless: the same instance
- * serves every in-flight recovery of a controller.
+ * True when @p kind runs the channel-wide ABO state machine (one
+ * recovery at a time, global ACT/CAS gating). False = the per-bank
+ * BankRecoveryEngine with one machine per alerting bank.
  */
-class RecoveryPolicy
+inline bool
+channelScope(RecoveryKind kind)
 {
-  public:
-    virtual ~RecoveryPolicy() = default;
+    return kind == RecoveryKind::ChannelStall;
+}
 
-    virtual RecoveryKind kind() const = 0;
-    std::string name() const { return recoveryKindName(kind()); }
+/**
+ * Does an in-flight @p kind recovery for @p alert_bank block @p bank?
+ * (Scheduling: no new ACTs while the recovery is active, no CAS while
+ * it pumps RFMs; quiesce: the bank must be precharged.)
+ */
+bool covers(RecoveryKind kind, const dram::DramDevice& dev, int alert_bank,
+            int bank);
 
-    /**
-     * True when the policy runs the channel-wide ABO state machine
-     * (one recovery at a time, global ACT/CAS gating). False = the
-     * per-bank BankRecoveryEngine with one machine per alerting bank.
-     */
-    virtual bool channelScope() const = 0;
-
-    /**
-     * Does an in-flight recovery for @p alert_bank block @p bank?
-     * (Scheduling: no new ACTs while the recovery is active, no CAS
-     * while it pumps RFMs; quiesce: the bank must be precharged.)
-     */
-    virtual bool covers(const dram::DramDevice& dev, int alert_bank,
-                        int bank) const = 0;
-
-    /**
-     * RFM scope of the recovery burst. @p configured is the
-     * controller's AboConfig scope (the channel-stall default).
-     */
-    virtual dram::RfmScope rfmScope(dram::RfmScope configured) const = 0;
-};
-
-/** Build the policy instance for @p kind. */
-std::unique_ptr<RecoveryPolicy> makeRecoveryPolicy(RecoveryKind kind);
+/**
+ * RFM scope of a @p kind recovery burst. @p configured is the
+ * controller's AboConfig scope (the channel-stall default); the
+ * isolated kinds pump per-bank RFMs whatever it says.
+ */
+inline dram::RfmScope
+recoveryRfmScope(RecoveryKind kind, dram::RfmScope configured)
+{
+    return channelScope(kind) ? configured : dram::RfmScope::PerBank;
+}
 
 } // namespace qprac::ctrl
 

@@ -468,12 +468,10 @@ ScenarioConfig::validate(std::string* err) const
                           "' is a single-channel event model");
         return false;
     }
-    // The Wave and perf harnesses drive one QPRAC engine; any other
-    // design would silently run as QPRAC. `none` turns perf's engine off.
-    const bool qprac_only = sourceKind() == SourceKind::Attack &&
-                            (sourceName() == "wave" || sourceName() == "perf");
-    if (qprac_only && mitigation.rfind("qprac", 0) != 0 &&
-        !(sourceName() == "perf" && mitigation == "none")) {
+    // The Wave harness drives one QPRAC engine; any other design would
+    // silently run as QPRAC.
+    if (sourceKind() == SourceKind::Attack && sourceName() == "wave" &&
+        mitigation.rfind("qprac", 0) != 0) {
         if (err)
             *err = strCat("attack '", sourceName(),
                           "' models QPRAC designs only, not '", mitigation,
@@ -725,12 +723,6 @@ ScenarioResult::csvRow() const
 
 namespace {
 
-bool
-mentionsProactive(const std::string& mitigation)
-{
-    return mitigation.find("proactive") != std::string::npos;
-}
-
 StatSet
 runWaveScenario(const ScenarioConfig& cfg, obs::EventRecorder*,
                 ctrl::SkipStats*)
@@ -743,7 +735,7 @@ runWaveScenario(const ScenarioConfig& cfg, obs::EventRecorder*,
     if (cfg.psq_size > 0)
         a.psq_size = cfg.psq_size;
     a.ideal = cfg.mitigation.find("ideal") != std::string::npos;
-    a.proactive = mentionsProactive(cfg.mitigation);
+    a.proactive = cfg.mitigation.find("proactive") != std::string::npos;
     attacks::WaveAttackResult r = attacks::simulateWaveAttack(a);
     StatSet s;
     s.set("attack.max_count", static_cast<double>(r.max_count));
@@ -755,18 +747,32 @@ runWaveScenario(const ScenarioConfig& cfg, obs::EventRecorder*,
     return s;
 }
 
+/**
+ * The design fields both cycle-level attack configs carry (timing,
+ * controller, mitigation factory) plus the engine's skip toggle.
+ */
+template <typename AttackConfig>
+void
+applyDesign(const ScenarioConfig& cfg, AttackConfig* a)
+{
+    DesignSpec d = cfg.design();
+    a->timing = d.timing;
+    a->ctrl.abo = d.abo;
+    a->ctrl.rfm_policy = d.rfm_policy;
+    a->mitigation = d.factory;
+    a->skip = cfg.engine.skip != EngineToggle::Off;
+}
+
 StatSet
 runPerfScenario(const ScenarioConfig& cfg, obs::EventRecorder*,
-                ctrl::SkipStats*)
+                ctrl::SkipStats* skip)
 {
     attacks::PerfAttackConfig a;
-    a.nbo = cfg.nbo;
-    a.nmit = cfg.nmit;
+    applyDesign(cfg, &a);
     if (cfg.attack_cycles)
         a.sim_cycles = static_cast<Cycle>(cfg.attack_cycles);
-    a.proactive = mentionsProactive(cfg.mitigation);
-    a.mitigation_enabled = cfg.mitigation != "none";
     attacks::PerfAttackResult r = attacks::runPerfAttack(a);
+    *skip = r.skip;
     StatSet s;
     s.set("attack.acts", static_cast<double>(r.acts));
     s.set("attack.alerts", static_cast<double>(r.alerts));
@@ -806,18 +812,13 @@ recoveryAttackConfig(const ScenarioConfig& cfg, int attack_banks)
     attacks::RecoveryAttackConfig a;
     a.org.channels = cfg.channels;
     a.org.ranks = cfg.ranks;
-    DesignSpec d = cfg.design();
-    a.timing = d.timing;
-    a.ctrl.abo = d.abo;
-    a.ctrl.rfm_policy = d.rfm_policy;
-    a.mitigation = d.factory;
+    applyDesign(cfg, &a);
     if (!dram::parseMappingScheme(cfg.mapping, &a.mapping))
         fatal(strCat("bad mapping scheme '", cfg.mapping, "'"));
     if (cfg.attack_cycles)
         a.attack_cycles = static_cast<Cycle>(cfg.attack_cycles);
     a.counter_update = cfg.experiment().counter_update;
     a.attack_banks = std::min(attack_banks, a.org.banksPerRank() - 1);
-    a.skip = cfg.engine.skip != EngineToggle::Off;
     return a;
 }
 
@@ -905,7 +906,8 @@ ScenarioRegistry::ScenarioRegistry()
     registerAttack(
         "perf",
         "multi-bank alert-storm performance attack (paper §VI-E)",
-        {{"nbo", "nmit", "mitigation", "baseline", "attack_cycles"},
+        {{"mitigation", "psq_size", "nbo", "nmit", "recovery", "baseline",
+          "attack_cycles", "skip"},
          false},
         runPerfScenario);
     registerAttack(

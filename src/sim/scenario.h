@@ -227,8 +227,8 @@ struct ScenarioResult
     ScenarioConfig config;
     bool is_attack = false;
     /** Full-system result. Attacks set only the fields kept out of
-     * the result document: wall_ms and, for the recovery families,
-     * the skip counters. */
+     * the result document: wall_ms and, for the cycle-level families
+     * (perf, rfm-probe, recovery-dos), the skip counters. */
     SimResult sim;
     bool has_baseline = false;
     SimResult baseline_sim;

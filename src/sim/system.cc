@@ -145,7 +145,7 @@ System::runAlternating()
                            memory_->runShard(static_cast<int>(i), b, e, e);
                        });
         } else {
-            memory_->runEpoch(cycle, shard_end, nullptr);
+            memory_->runEpoch(cycle, shard_end);
         }
         cycle = shard_end;
     }

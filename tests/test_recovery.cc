@@ -52,7 +52,7 @@ hammer(DramDevice& dev, int bank, int row, int count, Cycle* now)
 
 } // namespace
 
-// --- RecoveryPolicy ----------------------------------------------------
+// --- Recovery kinds ----------------------------------------------------
 
 TEST(RecoveryPolicyTest, KindNamesRoundTrip)
 {
@@ -62,7 +62,8 @@ TEST(RecoveryPolicyTest, KindNamesRoundTrip)
             ctrl::parseRecoveryKind(ctrl::recoveryKindName(kind),
                                     &parsed));
         EXPECT_EQ(parsed, kind);
-        EXPECT_EQ(ctrl::makeRecoveryPolicy(kind)->kind(), kind);
+        EXPECT_EQ(ctrl::channelScope(kind),
+                  kind == RecoveryKind::ChannelStall);
     }
     RecoveryKind kind;
     EXPECT_FALSE(ctrl::parseRecoveryKind("channel", &kind));
@@ -73,35 +74,33 @@ TEST(RecoveryPolicyTest, CoverageSemantics)
 {
     TimingParams t = TimingParams::ddr5Prac();
     DramDevice dev(org(), t); // 2 ranks x 2 groups x 2 banks = 8 banks
-    auto stall =
-        ctrl::makeRecoveryPolicy(RecoveryKind::ChannelStall);
-    auto bank = ctrl::makeRecoveryPolicy(RecoveryKind::BankIsolated);
-    auto group =
-        ctrl::makeRecoveryPolicy(RecoveryKind::GroupIsolated);
+    const RecoveryKind stall = RecoveryKind::ChannelStall;
+    const RecoveryKind bank = RecoveryKind::BankIsolated;
+    const RecoveryKind group = RecoveryKind::GroupIsolated;
 
-    EXPECT_TRUE(stall->channelScope());
-    EXPECT_FALSE(bank->channelScope());
-    EXPECT_FALSE(group->channelScope());
+    EXPECT_TRUE(ctrl::channelScope(stall));
+    EXPECT_FALSE(ctrl::channelScope(bank));
+    EXPECT_FALSE(ctrl::channelScope(group));
 
     // Alert on bank 0 (rank 0, group 0, index 0).
     for (int b = 0; b < dev.numBanks(); ++b) {
-        EXPECT_TRUE(stall->covers(dev, 0, b));
-        EXPECT_EQ(bank->covers(dev, 0, b), b == 0);
+        EXPECT_TRUE(ctrl::covers(stall, dev, 0, b));
+        EXPECT_EQ(ctrl::covers(bank, dev, 0, b), b == 0);
         // Group 0 of rank 0 is banks {0, 1}.
-        EXPECT_EQ(group->covers(dev, 0, b), b == 0 || b == 1);
+        EXPECT_EQ(ctrl::covers(group, dev, 0, b), b == 0 || b == 1);
     }
     // Same coordinates one rank over must not be covered.
     const int other_rank_bank = dev.organization().banksPerRank();
-    EXPECT_FALSE(bank->covers(dev, 0, other_rank_bank));
-    EXPECT_FALSE(group->covers(dev, 0, other_rank_bank));
+    EXPECT_FALSE(ctrl::covers(bank, dev, 0, other_rank_bank));
+    EXPECT_FALSE(ctrl::covers(group, dev, 0, other_rank_bank));
 
     // Isolated recoveries pump per-bank RFMs regardless of the
     // configured channel-stall scope.
-    EXPECT_EQ(stall->rfmScope(dram::RfmScope::AllBank),
+    EXPECT_EQ(ctrl::recoveryRfmScope(stall, dram::RfmScope::AllBank),
               dram::RfmScope::AllBank);
-    EXPECT_EQ(bank->rfmScope(dram::RfmScope::AllBank),
+    EXPECT_EQ(ctrl::recoveryRfmScope(bank, dram::RfmScope::AllBank),
               dram::RfmScope::PerBank);
-    EXPECT_EQ(group->rfmScope(dram::RfmScope::AllBank),
+    EXPECT_EQ(ctrl::recoveryRfmScope(group, dram::RfmScope::AllBank),
               dram::RfmScope::PerBank);
 }
 
